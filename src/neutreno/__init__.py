@@ -43,7 +43,6 @@ from .dynamics import (
     neutreno_fixed_point,
     run_neutreno_dynamics,
     run_plain_dynamics,
-    spectral_radius_estimate,
 )
 from .functional import (
     EnergyReport,
@@ -65,7 +64,6 @@ from .linalg import (
     pairwise_cosine_mean,
     row_softmax,
     seeded_gaussian,
-    solve_linear,
     substream,
 )
 from .random_walk import (

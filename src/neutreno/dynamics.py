@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import max_pairwise_distance, pairwise_cosine_mean, solve_linear, substream
+from .linalg import max_pairwise_distance, pairwise_cosine_mean
 from .functional import nonlocal_energy
+from .random_walk import _check_transition
 
 __all__ = [
     "TraceRecord",
@@ -36,7 +37,6 @@ __all__ = [
     "run_neutreno_dynamics",
     "neutreno_fixed_point",
     "fixed_point_separation",
-    "spectral_radius_estimate",
 ]
 
 DEFAULT_OVERFLOW_BOUND = 1e12
@@ -87,17 +87,32 @@ class DynamicsTrace:
         return self.records[-1].diverged if self.records else False
 
 
-def _metrics(state: np.ndarray, weights: np.ndarray):
-    """(j_value, mean_cosine, max_pairwise) with NaN where undefined."""
-    if not np.isfinite(state).all():
-        return float("nan"), float("nan"), float("nan")
-    j = nonlocal_energy(state, weights)
-    mp = max_pairwise_distance(state)
-    if state.shape[0] < 2 or np.any(np.linalg.norm(state, axis=1) == 0.0):
-        cos = float("nan")
-    else:
-        cos = pairwise_cosine_mean(state)
-    return j, cos, mp
+def _append_record(trace: DynamicsTrace, state: np.ndarray, weights: np.ndarray,
+                   overflow_bound: float, record_states: bool) -> None:
+    """Append the metrics of ``state`` to ``trace`` as its next step.
+
+    J is weighted by ``weights``; J, cosine and diameter are NaN where
+    undefined.  The ``diverged`` flag latches: it is set from the first
+    state that is non-finite or exceeds ``overflow_bound`` in magnitude.
+    """
+    diverged = trace.diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(state).all():
+            diverged = True
+            j = cos = mp = float("nan")
+        else:
+            diverged = diverged or bool(np.abs(state).max() > overflow_bound)
+            j = nonlocal_energy(state, weights)
+            mp = max_pairwise_distance(state)
+            if state.shape[0] < 2 or np.any(np.linalg.norm(state, axis=1) == 0.0):
+                cos = float("nan")
+            else:
+                cos = pairwise_cosine_mean(state)
+    trace.append(TraceRecord(
+        step=len(trace), j_value=j, mean_cosine=cos, max_pairwise=mp,
+        diverged=diverged,
+        state=state.copy() if record_states else None,
+    ))
 
 
 def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
@@ -115,29 +130,14 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
         raise ValueError(f"steps must be at least 1, got {steps}")
 
     trace = DynamicsTrace()
-    diverged = False
-
-    def record(step):
-        nonlocal diverged
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(state).all()
-            if not finite or np.abs(state).max() > overflow_bound:
-                diverged = True  # latches for all later records
-            j, cos, mp = _metrics(state, a)
-        trace.append(TraceRecord(
-            step=step, j_value=j, mean_cosine=cos, max_pairwise=mp,
-            diverged=diverged,
-            state=state.copy() if record_states else None,
-        ))
-
-    record(0)
-    for k in range(1, steps + 1):
+    _append_record(trace, state, a, overflow_bound, record_states)
+    for _ in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = a @ state
             if lam:
                 nxt = nxt + lam * (anchor - state)
         state = nxt
-        record(k)
+        _append_record(trace, state, a, overflow_bound, record_states)
     return trace
 
 
@@ -171,32 +171,6 @@ def run_neutreno_dynamics(v0, anchor, transition, lam_tilde: float, steps: int, 
     return _run(v0, transition, steps, lam_tilde, anchor, overflow_bound, record_states)
 
 
-def spectral_radius_estimate(m, *, seed: int = 0, iters: int = 2000, window: int = 500) -> float:
-    """Power-iteration estimate of the spectral radius of ``m``.
-
-    Tracks the per-step norm growth of a normalized random start vector
-    and returns the geometric mean of the last ``window`` growth ratios,
-    which averages out the oscillation of complex-pair dominant
-    eigenvalues.  Accurate to a few significant digits; eigenvalue pairs
-    with nearly tied moduli converge slowest.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
-    if n == 1:
-        return float(abs(m[0, 0]))
-    x = substream(seed, n).normal(size=n)
-    x /= np.linalg.norm(x)
-    log_ratios = []
-    for _ in range(iters):
-        y = m @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        log_ratios.append(np.log(norm))
-        x = y / norm
-    return float(np.exp(np.mean(log_ratios[-window:])))
-
-
 @dataclass(frozen=True)
 class FixedPointReport:
     """Fixed point of the anchored recursion and its quality measures.
@@ -204,8 +178,8 @@ class FixedPointReport:
     ``residual`` is ``max |u* - (A u* + lam (f - u*))|``;
     ``is_constant_vector`` flags a token diameter below ``constant_tol``;
     ``spectral_ok`` reports whether the iteration matrix ``A - lam I``
-    has estimated spectral radius below 1 (so the recursion actually
-    converges to ``u*``).
+    has spectral radius below 1, computed exactly from its eigenvalues
+    (so the recursion actually converges to ``u*``).
     """
 
     u_star: np.ndarray
@@ -218,27 +192,28 @@ def neutreno_fixed_point(anchor, transition, lam_tilde: float, *,
                          constant_tol: float = 1e-10) -> FixedPointReport:
     """Solve for the fixed point ``u* = lam ((1 + lam) I - A)^{-1} f``.
 
-    Requires ``lam_tilde > 0``.  The shifted matrix is always invertible:
-    eigenvalues of a row-stochastic matrix lie in the closed unit disk,
-    so ``1 + lam`` clears them all.  If the anchor is a constant-row
+    Requires ``lam_tilde > 0`` and a transition matrix (square, strictly
+    positive, rows summing to 1); raises ``ValueError`` otherwise.  Then
+    ``(1 + lam) I - A`` is strictly diagonally dominant, so the solve
+    cannot meet a singular system.  If the anchor is a constant-row
     matrix, ``u*`` equals the anchor (constant rows are fixed by ``A``).
     """
     if lam_tilde <= 0:
         raise ValueError(f"lam_tilde must be positive, got {lam_tilde}")
-    a = np.asarray(transition, dtype=np.float64)
+    a = _check_transition(transition)
     f = np.asarray(anchor, dtype=np.float64)
     n = a.shape[0]
     if f.ndim != 2 or f.shape[0] != n:
         raise ValueError(f"anchor shape {f.shape} does not match transition {a.shape}")
-    shifted = (1.0 + lam_tilde) * np.eye(n) - a
-    u_star = solve_linear(shifted, lam_tilde * f)
+    eye = np.eye(n)
+    u_star = np.linalg.solve((1.0 + lam_tilde) * eye - a, lam_tilde * f)
     residual = float(np.abs(u_star - (a @ u_star + lam_tilde * (f - u_star))).max())
-    rho = spectral_radius_estimate(a - lam_tilde * np.eye(n))
+    rho = np.abs(np.linalg.eigvals(a - lam_tilde * eye)).max()
     return FixedPointReport(
         u_star=u_star,
         residual=residual,
         is_constant_vector=max_pairwise_distance(u_star) < constant_tol,
-        spectral_ok=rho < 1.0,
+        spectral_ok=bool(rho < 1.0),
     )
 
 

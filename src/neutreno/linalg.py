@@ -1,4 +1,4 @@
-"""Dense linear algebra, seeded random generation, and token metrics.
+"""Row softmax, seeded random generation, and token metrics.
 
 Everything here operates on plain float64 ``numpy`` arrays: matrices are
 2-D row-major arrays, vectors are 1-D arrays.  All functions are pure and
@@ -7,23 +7,16 @@ never mutate their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "row_softmax",
     "pairwise_cosine_mean",
     "max_pairwise_distance",
     "seeded_gaussian",
-    "solve_linear",
     "substream",
     "mix_seed",
 ]
-
-# Smallest LU pivot magnitude accepted before a system is declared singular.
-PIVOT_TOL = 1e-12
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -120,45 +113,3 @@ def mix_seed(seed, *key) -> int:
     that store a scalar seed.
     """
     return int(np.random.SeedSequence([int(seed), *map(int, key)]).generate_state(1)[0])
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
-
-    Parameters
-    ----------
-    a : (n, n) array
-        Square coefficient matrix.
-    b : (n,) or (n, m) array
-        Right-hand side(s).
-
-    Returns
-    -------
-    x : array with the shape of ``b``.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the matrix is singular or any LU pivot falls below
-        ``PIVOT_TOL`` in magnitude.
-    """
-    a = _as_matrix(a, "a")
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side has {b.shape[0]} rows, matrix has {a.shape[0]}"
-        )
-    with warnings.catch_warnings():
-        # the pivot check below raises for singular systems; scipy's
-        # advisory warning about exact-zero diagonals is redundant here
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min()) if pivots.size else 0.0
-    if smallest < PIVOT_TOL:
-        raise np.linalg.LinAlgError(
-            f"matrix is singular or near-singular (pivot {smallest:.3e} < {PIVOT_TOL:.0e})"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b)

@@ -27,9 +27,7 @@ from .attention import (
     project_qkv,
     softmax_attention,
 )
-from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, TraceRecord
-from .functional import nonlocal_energy
-from .linalg import max_pairwise_distance, pairwise_cosine_mean
+from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_record
 
 __all__ = ["VARIANTS", "StackConfig", "StackModel", "init_stack", "forward"]
 
@@ -103,19 +101,6 @@ def init_stack(config: StackConfig) -> StackModel:
     return StackModel(projections=tuple(layers), config=config)
 
 
-def _layer_metrics(state, kernel, overflow_bound):
-    if not np.isfinite(state).all():
-        return float("nan"), float("nan"), float("nan"), True
-    over = bool(np.abs(state).max() > overflow_bound)
-    j = nonlocal_energy(state, kernel)
-    mp = max_pairwise_distance(state)
-    if state.shape[0] < 2 or np.any(np.linalg.norm(state, axis=1) == 0.0):
-        cos = float("nan")
-    else:
-        cos = pairwise_cosine_mean(state)
-    return j, cos, mp, over
-
-
 def forward(model: StackModel, x0, *, record_states: bool = False,
             overflow_bound: float = DEFAULT_OVERFLOW_BOUND):
     """Run the stack on input tokens; return (output, per-layer trace).
@@ -137,19 +122,6 @@ def forward(model: StackModel, x0, *, record_states: bool = False,
         )
 
     trace = DynamicsTrace()
-    diverged = False
-
-    def record(step, kernel):
-        nonlocal diverged
-        with np.errstate(over="ignore", invalid="ignore"):
-            j, cos, mp, over = _layer_metrics(state, kernel, overflow_bound)
-        diverged = diverged or over
-        trace.append(TraceRecord(
-            step=step, j_value=j, mean_cosine=cos, max_pairwise=mp,
-            diverged=diverged,
-            state=state.copy() if record_states else None,
-        ))
-
     first_layer_values = None
     for index, proj in enumerate(model.projections):
         q, k, v = project_qkv(state, proj)
@@ -159,7 +131,7 @@ def forward(model: StackModel, x0, *, record_states: bool = False,
             # recorded as data, not raised
             kernel = exp_score_kernel(scores_q, k)
         if index == 0:
-            record(0, kernel)
+            _append_record(trace, state, kernel, overflow_bound, record_states)
             first_layer_values = v
         if cfg.variant == "neutreno":
             params = NeutrenoParams(cfg.lambda_tilde, first_layer_values)
@@ -167,7 +139,7 @@ def forward(model: StackModel, x0, *, record_states: bool = False,
         else:
             out = softmax_attention(scores_q, k, v)
         state = out + state if cfg.residual else out
-        record(index + 1, kernel)
+        _append_record(trace, state, kernel, overflow_bound, record_states)
         # stop before score products can overflow to non-finite values
         if not np.isfinite(state).all() or np.abs(state).max() > 1e150:
             break

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,12 @@ class TestTensorCommand:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["tensor", "inspect", str(tmp_path / "nope.ntt")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, neutreno.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -6,7 +6,6 @@ from neutreno.dynamics import (
     neutreno_fixed_point,
     run_neutreno_dynamics,
     run_plain_dynamics,
-    spectral_radius_estimate,
 )
 from neutreno.linalg import max_pairwise_distance
 from neutreno.random_walk import limit_vector, stationary_power_iteration, transition_from_scores
@@ -161,33 +160,29 @@ class TestNeutrenoFixedPoint:
             n = int(rng.integers(2, 15))
             a = random_chain(rng, n)
             anchor = rng.normal(size=(n, 4))
-            report = neutreno_fixed_point(anchor, a, float(rng.uniform(0.1, 1.0)))
+            lam = float(rng.uniform(0.1, 1.0))
+            report = neutreno_fixed_point(anchor, a, lam)
             assert report.residual <= 1e-9 * (1 + np.abs(anchor).max())
+            rho = np.abs(np.linalg.eigvals(a - lam * np.eye(n))).max()
+            assert report.spectral_ok == (rho < 1.0)
 
     def test_rejects_zero_lambda(self):
         with pytest.raises(ValueError):
             neutreno_fixed_point(np.zeros((2, 1)), UNIFORM_2, 0.0)
 
+    def test_near_period_two_chain_does_not_contract(self):
+        """A - lam I has eigenvalues 0.9997 and -1.0001: the moduli nearly
+        tie, yet the spectral radius is above 1 and the recursion does not
+        reach u*."""
+        eps = 1e-4
+        a = np.array([[eps, 1 - eps], [1 - eps, eps]])
+        report = neutreno_fixed_point(np.array([[1.0], [-1.0]]), a, 3e-4)
+        assert not report.spectral_ok
 
-class TestSpectralRadiusEstimate:
-    def test_diagonal_matrix(self):
-        m = np.diag([0.5, -0.8, 0.1])
-        assert spectral_radius_estimate(m) == pytest.approx(0.8, abs=1e-6)
-
-    def test_rotation_with_complex_pair(self):
-        # eigenvalues 0.9 * exp(+-i pi/4); modulus 0.9
-        c, s = 0.9 * np.cos(np.pi / 4), 0.9 * np.sin(np.pi / 4)
-        m = np.array([[c, -s], [s, c]])
-        assert spectral_radius_estimate(m) == pytest.approx(0.9, abs=1e-6)
-
-    def test_matches_eigenvalues_on_shifted_chains(self):
-        rng = np.random.default_rng(100)
-        for _ in range(10):
-            a = random_chain(rng, int(rng.integers(2, 10)))
-            lam = float(rng.uniform(0.1, 1.0))
-            m = a - lam * np.eye(a.shape[0])
-            exact = float(np.abs(np.linalg.eigvals(m)).max())
-            assert spectral_radius_estimate(m) == pytest.approx(exact, abs=1e-3)
+    def test_rejects_non_stochastic_transition(self):
+        rows_off = np.array([[0.5, 0.6], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="transition matrix"):
+            neutreno_fixed_point(np.array([[0.0], [1.0]]), rows_off, 0.5)
 
 
 class TestFixedPointSeparation:

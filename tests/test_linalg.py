@@ -9,7 +9,6 @@ from neutreno.linalg import (
     pairwise_cosine_mean,
     row_softmax,
     seeded_gaussian,
-    solve_linear,
     substream,
 )
 
@@ -133,35 +132,6 @@ class TestSeededGaussian:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             seeded_gaussian(2, 2, seed=0, scale=0.0)
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(solve_linear(np.eye(2), b), b)
-
-    def test_diagonal(self):
-        a = [[2.0, 0.0], [0.0, 4.0]]
-        x = solve_linear(a, np.array([2.0, 8.0]))
-        np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-14)
-
-    def test_residual_bound_random_systems(self):
-        rng = np.random.default_rng(16)
-        for _ in range(25):
-            a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-            b = rng.normal(size=(5, 2))
-            x = solve_linear(a, b)
-            residual = np.abs(a @ x - b).max()
-            assert residual <= 1e-9 * (1 + np.abs(b).max())
-
-    def test_singular_matrix_raises(self):
-        a = [[1.0, 2.0], [2.0, 4.0]]
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_linear(a, np.array([1.0, 1.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_linear(np.eye(3), np.zeros((2, 1)))
 
 
 class TestStreams:
