@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .functional import (
     EnergyReport,
-    KernelWeights,
     adaptive_step_sizes,
     central_difference_grad,
     fidelity_energy,
@@ -62,6 +61,7 @@ from .linalg import (
     max_pairwise_distance,
     mix_seed,
     pairwise_cosine_mean,
+    pairwise_sq_distances,
     row_softmax,
     seeded_gaussian,
     substream,
@@ -72,7 +72,6 @@ from .random_walk import (
     is_transition_matrix,
     iterate_state,
     limit_vector,
-    sample_random_walk,
     stationary_closed_form,
     stationary_power_iteration,
     transition_from_scores,

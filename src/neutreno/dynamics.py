@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import max_pairwise_distance, pairwise_cosine_mean
-from .functional import nonlocal_energy
+from .linalg import max_pairwise_distance, pairwise_cosine_mean, pairwise_sq_distances
+from .functional import _check_weights
 from .random_walk import _check_transition
 
 __all__ = [
@@ -102,8 +102,12 @@ def _append_record(trace: DynamicsTrace, state: np.ndarray, weights: np.ndarray,
             j = cos = mp = float("nan")
         else:
             diverged = diverged or bool(np.abs(state).max() > overflow_bound)
-            j = nonlocal_energy(state, weights)
-            mp = max_pairwise_distance(state)
+            # J and the diameter share one squared-distance matrix; the
+            # expressions are those of nonlocal_energy and max_pairwise_distance
+            w = _check_weights(weights, state.shape[0])
+            sq = pairwise_sq_distances(state)
+            j = float(0.5 * (w * sq).sum())
+            mp = float(np.sqrt(sq.max()))
             if state.shape[0] < 2 or np.any(np.linalg.norm(state, axis=1) == 0.0):
                 cos = float("nan")
             else:
@@ -251,10 +255,8 @@ def fixed_point_separation(anchor, transition, lam_tilde: float) -> SeparationRe
     if not pairs:
         raise ValueError("anchor rows are all identical; separation is undefined")
     report = neutreno_fixed_point(f, transition, lam_tilde)
-    u = report.u_star
-    margins = {
-        (i, j): float(np.linalg.norm(u[i] - u[j])) for i, j in pairs
-    }
+    sq = pairwise_sq_distances(report.u_star)
+    margins = {(i, j): float(np.sqrt(sq[i, j])) for i, j in pairs}
     worst = min(margins, key=margins.get)
     min_margin = margins[worst]
     return SeparationReport(

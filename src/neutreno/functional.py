@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import pairwise_sq_distances
+
 __all__ = [
-    "KernelWeights",
     "EnergyReport",
     "nonlocal_energy",
     "nonlocal_energy_grad",
@@ -52,22 +53,6 @@ def _check_weights(w, n_tokens: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KernelWeights:
-    """Validated nonnegative affinity weights ``w`` with their symmetrized
-    form ``w + w.T`` (exactly symmetric, since float addition commutes)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", _check_weights(w, w.shape[0]))
-
-    @property
-    def symmetrized(self) -> np.ndarray:
-        return self.w + self.w.T
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     """Snapshot of the energy split: ``e_value == j_value + g_value``."""
 
@@ -75,11 +60,6 @@ class EnergyReport:
     g_value: float
     e_value: float
     lam: float
-
-
-def _pairwise_sq_dists(u: np.ndarray) -> np.ndarray:
-    diff = u[:, None, :] - u[None, :, :]
-    return (diff * diff).sum(axis=-1)
 
 
 def nonlocal_energy(u, weights) -> float:
@@ -90,7 +70,7 @@ def nonlocal_energy(u, weights) -> float:
     """
     u = np.asarray(u, dtype=np.float64)
     w = _check_weights(weights, u.shape[0])
-    return float(0.5 * (w * _pairwise_sq_dists(u)).sum())
+    return float(0.5 * (w * pairwise_sq_distances(u)).sum())
 
 
 def nonlocal_energy_grad(u, weights) -> np.ndarray:

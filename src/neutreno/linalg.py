@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# Entries per (rows, N, D) difference block in ``pairwise_sq_distances``
+# (8 MiB of float64), so the token metrics need O(N^2) memory, not O(N^2 D).
+_BLOCK_ENTRIES = 1 << 20
+
 __all__ = [
     "row_softmax",
     "pairwise_cosine_mean",
+    "pairwise_sq_distances",
     "max_pairwise_distance",
     "seeded_gaussian",
     "substream",
@@ -71,15 +76,34 @@ def pairwise_cosine_mean(tokens) -> float:
     return float(np.clip(total / (n * (n - 1)), -1.0, 1.0))
 
 
+def pairwise_sq_distances(tokens) -> np.ndarray:
+    """Matrix of squared Euclidean distances ``|x_i - x_j|^2`` between rows.
+
+    Entry ``(i, j)`` is ``((x_i - x_j) ** 2).sum()`` evaluated exactly as
+    the one-shot ``(N, N, D)`` difference tensor would, bit for bit, but
+    the tensor is formed a block of rows at a time, so memory beyond the
+    ``(N, N)`` result is bounded by ``_BLOCK_ENTRIES``.  Identical rows
+    subtract to exact zeros, so their entry is exactly 0.0.
+    """
+    x = _as_matrix(tokens, "tokens")
+    n, d = x.shape
+    rows = max(1, _BLOCK_ENTRIES // max(n * d, 1))
+    out = np.empty((n, n))
+    for start in range(0, n, rows):
+        diff = x[start:start + rows, None, :] - x[None, :, :]
+        out[start:start + rows] = (diff * diff).sum(axis=-1)
+    return out
+
+
 def max_pairwise_distance(tokens) -> float:
     """Largest Euclidean distance between any two rows.
 
     Exactly 0.0 iff all rows are equal (identical rows subtract to exact
-    zeros, so no tolerance is involved).
+    zeros, so no tolerance is involved).  Takes the square root of the
+    largest squared distance; sqrt is monotone and correctly rounded, so
+    this equals the largest of the square roots.
     """
-    x = _as_matrix(tokens, "tokens")
-    diff = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+    return float(np.sqrt(pairwise_sq_distances(tokens).max()))
 
 
 def seeded_gaussian(rows: int, cols: int, seed, scale: float = 1.0) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "stationary_closed_form",
     "stationary_power_iteration",
     "limit_vector",
-    "sample_random_walk",
     "walk_sample_stats",
 ]
 
@@ -204,14 +203,3 @@ def walk_sample_stats(
     else:
         stderr = np.zeros_like(mean)
     return WalkStats(mean=mean, stderr=stderr, n_samples=n_samples)
-
-
-def sample_random_walk(
-    v0, transition, steps: int, start: int, n_samples: int, seed
-) -> np.ndarray:
-    """Monte-Carlo mean of the ``steps``-step walk payout from ``start``.
-
-    Matches ``iterate_state(v0, A, steps)[start]`` in expectation; see
-    ``walk_sample_stats`` for the error bars.
-    """
-    return walk_sample_stats(v0, transition, steps, start, n_samples, seed).mean

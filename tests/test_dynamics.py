@@ -7,6 +7,7 @@ from neutreno.dynamics import (
     run_neutreno_dynamics,
     run_plain_dynamics,
 )
+from neutreno.functional import nonlocal_energy
 from neutreno.linalg import max_pairwise_distance
 from neutreno.random_walk import limit_vector, stationary_power_iteration, transition_from_scores
 
@@ -69,6 +70,36 @@ class TestPlainDynamics:
         trace = run_plain_dynamics(rng.normal(size=(6, 3)), a, 50)
         diams = [rec.max_pairwise for rec in trace]
         assert all(b <= a_ + 1e-12 for a_, b in zip(diams, diams[1:]))
+
+
+    def test_rejects_transition_with_negative_entry(self):
+        a = np.array([[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_plain_dynamics(np.array([[1.0], [2.0]]), a, 3)
+
+
+class TestTraceMetrics:
+    """Each record's J and diameter equal the public metric functions
+    evaluated on the recorded state, bit for bit."""
+
+    @staticmethod
+    def check(trace, a):
+        for rec in trace:
+            assert rec.j_value == nonlocal_energy(rec.state, a)
+            assert rec.max_pairwise == max_pairwise_distance(rec.state)
+
+    def test_plain_dynamics(self):
+        rng = np.random.default_rng(95)
+        a = random_chain(rng, 9)
+        self.check(run_plain_dynamics(rng.normal(size=(9, 5)), a, 30,
+                                      record_states=True), a)
+
+    def test_neutreno_dynamics(self):
+        rng = np.random.default_rng(96)
+        a = random_chain(rng, 9)
+        anchor = rng.normal(scale=3.0, size=(9, 5))
+        self.check(run_neutreno_dynamics(anchor, anchor, a, 0.6, 30,
+                                         record_states=True), a)
 
 
 class TestNeutrenoDynamics:

@@ -3,7 +3,6 @@ import pytest
 
 from neutreno.attention import exp_score_kernel, neutreno_attention, NeutrenoParams, symmetric_attention
 from neutreno.functional import (
-    KernelWeights,
     adaptive_step_sizes,
     central_difference_grad,
     fidelity_energy,
@@ -259,14 +258,3 @@ class TestSplitSmoothingStep:
         w[:, 2] = 0.0
         with pytest.raises(ValueError, match="column 2"):
             split_smoothing_step(np.zeros((3, 1)), w)
-
-
-class TestKernelWeights:
-    def test_symmetrized_is_exactly_symmetric(self):
-        rng = np.random.default_rng(60)
-        kw = KernelWeights(rng.uniform(size=(6, 6)))
-        np.testing.assert_array_equal(kw.symmetrized, kw.symmetrized.T)
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            KernelWeights(np.array([[0.0, -0.5], [0.0, 0.0]]))

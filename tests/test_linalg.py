@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from neutreno import linalg
+from neutreno.functional import nonlocal_energy
 from neutreno.linalg import (
     max_pairwise_distance,
     mix_seed,
     pairwise_cosine_mean,
+    pairwise_sq_distances,
     row_softmax,
     seeded_gaussian,
     substream,
@@ -112,6 +118,97 @@ class TestMaxPairwiseDistance:
         assert max_pairwise_distance(x) == 0.0
         x[3, 1] = np.nextafter(x[3, 1], 1.0)
         assert max_pairwise_distance(x) > 0.0
+
+
+def one_shot_sq_dists(x):
+    """Reference: the direct formula over the whole (N, N, D) difference
+    tensor, which the blocked routine must reproduce bit for bit."""
+    diff = x[:, None, :] - x[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def layout(x, order):
+    """The same values as ``x`` in C order, F order or as a strided view."""
+    if order == "C":
+        return np.ascontiguousarray(x)
+    if order == "F":
+        return np.asfortranarray(x)
+    big = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    big[::2, ::3] = x
+    return big[::2, ::3]
+
+
+def assert_metrics_match_reference(x, w):
+    ref = one_shot_sq_dists(x)
+    np.testing.assert_array_equal(pairwise_sq_distances(x), ref)
+    assert max_pairwise_distance(x) == float(np.sqrt(ref).max())
+    assert nonlocal_energy(x, w) == float(0.5 * (w * ref).sum())
+
+
+class TestPairwiseSqDistances:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 16),
+        scale=st.floats(1e-3, 30.0),
+        shift=st.sampled_from([0.0, 1.0, 1e3]),
+        order=st.sampled_from(["C", "F", "strided"]),
+        block=st.sampled_from([None, 1, 7, 100, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_one_shot_formula(self, n, d, scale, shift, order,
+                                               block, seed):
+        rng = np.random.default_rng(seed)
+        x = layout(shift + rng.normal(scale=scale, size=(n, d)), order)
+        w = rng.uniform(size=(n, n))
+        budget = linalg._BLOCK_ENTRIES if block is None else block
+        with mock.patch.object(linalg, "_BLOCK_ENTRIES", budget):
+            assert_metrics_match_reference(x, w)
+
+    def test_two_uneven_blocks(self):
+        # 2**20 // 1100 = 953 rows in the first block, 147 in the second
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(1100, 1))
+        assert_metrics_match_reference(x, rng.uniform(size=(1100, 1100)))
+
+    def test_one_row_per_block(self):
+        # 40 * 30000 entries exceed the budget, so each block is one row;
+        # the (40, 40, 30000) reference tensor is too large to form at once,
+        # so the direct formula is applied to each pair of rows
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(40, 30000))
+        ref = np.array([[one_shot_sq_dists(x[[i, j]])[0, 1] for j in range(40)]
+                        for i in range(40)])
+        np.testing.assert_array_equal(pairwise_sq_distances(x), ref)
+        assert max_pairwise_distance(x) == float(np.sqrt(ref).max())
+        w = rng.uniform(size=(40, 40))
+        assert nonlocal_energy(x, w) == float(0.5 * (w * ref).sum())
+
+    def test_identical_rows_give_exact_zero(self):
+        x = np.tile([1e3 + 0.1, -2.7, 1e-9], (1100, 1))
+        assert not pairwise_sq_distances(x).any()
+        assert max_pairwise_distance(x) == 0.0
+        assert nonlocal_energy(x, np.ones((1100, 1100))) == 0.0
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            pairwise_sq_distances(np.zeros(3))
+
+    @pytest.mark.parametrize("metric", ["max_pairwise_distance", "nonlocal_energy"])
+    def test_memory_is_quadratic_not_cubic(self, metric):
+        # at N=512, D=64 the (N, N, D) difference tensor alone is 128 MiB
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(512, 64))
+        w = rng.uniform(size=(512, 512))
+        call = {"max_pairwise_distance": lambda: max_pairwise_distance(x),
+                "nonlocal_energy": lambda: nonlocal_energy(x, w)}[metric]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSeededGaussian:

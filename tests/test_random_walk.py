@@ -10,7 +10,6 @@ from neutreno.random_walk import (
     is_transition_matrix,
     iterate_state,
     limit_vector,
-    sample_random_walk,
     stationary_closed_form,
     stationary_power_iteration,
     transition_from_scores,
@@ -173,7 +172,7 @@ class TestSampleRandomWalk:
         rng = np.random.default_rng(80)
         a, _ = random_chain(rng, 4)
         v0 = rng.normal(size=(4, 3))
-        out = sample_random_walk(v0, a, 0, start=2, n_samples=50, seed=1)
+        out = walk_sample_stats(v0, a, 0, start=2, n_samples=50, seed=1).mean
         np.testing.assert_array_equal(out, v0[2])
 
     def test_near_deterministic_chain(self):
@@ -181,17 +180,17 @@ class TestSampleRandomWalk:
         eps = 1e-12
         a = np.array([[eps, 1 - eps], [eps, 1 - eps]])
         v0 = np.array([[5.0], [-3.0]])
-        out = sample_random_walk(v0, a, 1, start=0, n_samples=500, seed=2)
+        out = walk_sample_stats(v0, a, 1, start=0, n_samples=500, seed=2).mean
         np.testing.assert_allclose(out, [-3.0])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(81)
         a, _ = random_chain(rng, 5)
         v0 = rng.normal(size=(5, 2))
-        one = sample_random_walk(v0, a, 3, 1, 1000, seed=42)
-        two = sample_random_walk(v0, a, 3, 1, 1000, seed=42)
+        one = walk_sample_stats(v0, a, 3, 1, 1000, seed=42).mean
+        two = walk_sample_stats(v0, a, 3, 1, 1000, seed=42).mean
         np.testing.assert_array_equal(one, two)
-        other = sample_random_walk(v0, a, 3, 1, 1000, seed=43)
+        other = walk_sample_stats(v0, a, 3, 1, 1000, seed=43).mean
         assert np.any(one != other)
 
     def test_mean_matches_iteration_within_band(self):
@@ -211,4 +210,4 @@ class TestSampleRandomWalk:
         rng = np.random.default_rng(83)
         a, _ = random_chain(rng, 3)
         with pytest.raises(ValueError):
-            sample_random_walk(np.zeros((3, 1)), a, 1, start=3, n_samples=1, seed=0)
+            walk_sample_stats(np.zeros((3, 1)), a, 1, start=3, n_samples=1, seed=0)
