@@ -63,7 +63,6 @@ from .linalg import (
     pairwise_cosine_mean,
     pairwise_sq_distances,
     row_softmax,
-    seeded_gaussian,
     substream,
 )
 from .random_walk import (

@@ -139,6 +139,21 @@ def attention_matrix(queries, keys) -> np.ndarray:
     return row_softmax(scaled_scores(queries, keys))
 
 
+def _attend(scores, values, anchor: NeutrenoParams | None = None) -> np.ndarray:
+    """``row_softmax(scores) @ values``, plus ``lam * (v0 - values)`` when
+    ``anchor`` is given with a nonzero weight.  The one attention path,
+    shared by the public variants and by ``neutreno.stack``."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape[0] != scores.shape[1]:
+        raise ValueError(
+            f"values have {v.shape[0]} rows but keys have {scores.shape[1]}"
+        )
+    out = row_softmax(scores) @ v
+    if anchor is not None and anchor.lambda_tilde:
+        out = out + anchor.lambda_tilde * (anchor.first_layer_values - v)
+    return out
+
+
 def softmax_attention(queries, keys, values) -> np.ndarray:
     """Scaled dot-product attention output ``attention_matrix @ values``.
 
@@ -146,13 +161,7 @@ def softmax_attention(queries, keys, values) -> np.ndarray:
     output coordinate lies inside the [min, max] range of its value
     column.
     """
-    v = np.asarray(values, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    if v.shape[0] != k.shape[0]:
-        raise ValueError(
-            f"values have {v.shape[0]} rows but keys have {k.shape[0]}"
-        )
-    return attention_matrix(queries, keys) @ v
+    return _attend(scaled_scores(queries, keys), values)
 
 
 def symmetric_attention(keys, values) -> np.ndarray:
@@ -172,7 +181,4 @@ def neutreno_attention(queries, keys, values, params: NeutrenoParams) -> np.ndar
         raise ValueError(
             f"first-layer values shape {v0.shape} != values shape {v.shape}"
         )
-    out = softmax_attention(queries, keys, v)
-    if params.lambda_tilde:
-        out = out + params.lambda_tilde * (v0 - v)
-    return out
+    return _attend(scaled_scores(queries, keys), v, params)

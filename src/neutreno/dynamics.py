@@ -108,10 +108,11 @@ def _append_record(trace: DynamicsTrace, state: np.ndarray, weights: np.ndarray,
             sq = pairwise_sq_distances(state)
             j = float(0.5 * (w * sq).sum())
             mp = float(np.sqrt(sq.max()))
-            if state.shape[0] < 2 or np.any(np.linalg.norm(state, axis=1) == 0.0):
-                cos = float("nan")
-            else:
+            try:
                 cos = pairwise_cosine_mean(state)
+            except ValueError:
+                # a single row or a zero row: the cosine is undefined
+                cos = float("nan")
     trace.append(TraceRecord(
         step=len(trace), j_value=j, mean_cosine=cos, max_pairwise=mp,
         diverged=diverged,

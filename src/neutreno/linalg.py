@@ -1,4 +1,4 @@
-"""Row softmax, seeded random generation, and token metrics.
+"""Row softmax, seed substreams, and token metrics.
 
 Everything here operates on plain float64 ``numpy`` arrays: matrices are
 2-D row-major arrays, vectors are 1-D arrays.  All functions are pure and
@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-# Entries per (rows, N, D) difference block in ``pairwise_sq_distances``
-# (8 MiB of float64), so the token metrics need O(N^2) memory, not O(N^2 D).
-_BLOCK_ENTRIES = 1 << 20
+# Entries per (rows, span, D) difference block in ``pairwise_sq_distances``:
+# 512 KiB of float64, so a block stays in a 2 MiB L2 cache and the token
+# metrics need O(N^2) memory, not O(N^2 D).
+_BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
     "row_softmax",
     "pairwise_cosine_mean",
     "pairwise_sq_distances",
     "max_pairwise_distance",
-    "seeded_gaussian",
     "substream",
     "mix_seed",
 ]
@@ -80,18 +80,29 @@ def pairwise_sq_distances(tokens) -> np.ndarray:
     """Matrix of squared Euclidean distances ``|x_i - x_j|^2`` between rows.
 
     Entry ``(i, j)`` is ``((x_i - x_j) ** 2).sum()`` evaluated exactly as
-    the one-shot ``(N, N, D)`` difference tensor would, bit for bit, but
-    the tensor is formed a block of rows at a time, so memory beyond the
-    ``(N, N)`` result is bounded by ``_BLOCK_ENTRIES``.  Identical rows
-    subtract to exact zeros, so their entry is exactly 0.0.
+    the one-shot ``(N, N, D)`` difference tensor would, bit for bit, for
+    any memory layout of ``tokens``.  Only the upper triangle is formed, a
+    block of rows ``[start, stop)`` against columns ``start:`` at a time,
+    and each block is mirrored into the lower triangle: ``x_j - x_i`` is
+    the exact negation of ``x_i - x_j``, so both entries are the same sum
+    of the same squares.  Each block holds at most ``_BLOCK_ENTRIES``
+    differences (at least one row), so memory beyond the ``(N, N)`` result
+    is bounded.  Identical finite rows subtract to exact zeros, so their
+    entry, and every diagonal entry, is exactly 0.0.
     """
     x = _as_matrix(tokens, "tokens")
     n, d = x.shape
-    rows = max(1, _BLOCK_ENTRIES // max(n * d, 1))
     out = np.empty((n, n))
-    for start in range(0, n, rows):
-        diff = x[start:start + rows, None, :] - x[None, :, :]
-        out[start:start + rows] = (diff * diff).sum(axis=-1)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK_ENTRIES // max((n - start) * d, 1)))
+        # a fresh difference follows the layout of x, which fixes the order
+        # of the sum over D; a reused C-ordered buffer would change the bits
+        diff = x[start:stop, None, :] - x[None, start:, :]
+        block = np.multiply(diff, diff, out=diff).sum(axis=-1)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
+        start = stop
     return out
 
 
@@ -104,18 +115,6 @@ def max_pairwise_distance(tokens) -> float:
     this equals the largest of the square roots.
     """
     return float(np.sqrt(pairwise_sq_distances(tokens).max()))
-
-
-def seeded_gaussian(rows: int, cols: int, seed, scale: float = 1.0) -> np.ndarray:
-    """Draw a rows-by-cols matrix of i.i.d. N(0, scale^2) entries.
-
-    Uses a generator seeded explicitly from ``seed`` (no global state),
-    so the same arguments always produce bit-identical output.
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=0.0, scale=scale, size=(rows, cols))
 
 
 def substream(seed, *key) -> np.random.Generator:

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (
-    NeutrenoParams,
-    ProjectionSet,
-    exp_score_kernel,
-    neutreno_attention,
-    project_qkv,
-    softmax_attention,
-)
+from .attention import NeutrenoParams, ProjectionSet, _attend, project_qkv, scaled_scores
 from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_record
 
 __all__ = ["VARIANTS", "StackConfig", "StackModel", "init_stack", "forward"]
@@ -125,19 +118,18 @@ def forward(model: StackModel, x0, *, record_states: bool = False,
     first_layer_values = None
     for index, proj in enumerate(model.projections):
         q, k, v = project_qkv(state, proj)
-        scores_q = k if cfg.variant == "symmetric" else q
+        # one score matrix per layer feeds both the softmax and the kernel
+        scores = scaled_scores(k if cfg.variant == "symmetric" else q, k)
         with np.errstate(over="ignore"):
             # a diverging state saturates the kernel to inf; that is
             # recorded as data, not raised
-            kernel = exp_score_kernel(scores_q, k)
+            kernel = np.exp(scores)
         if index == 0:
             _append_record(trace, state, kernel, overflow_bound, record_states)
             first_layer_values = v
-        if cfg.variant == "neutreno":
-            params = NeutrenoParams(cfg.lambda_tilde, first_layer_values)
-            out = neutreno_attention(q, k, v, params)
-        else:
-            out = softmax_attention(scores_q, k, v)
+        anchor = (NeutrenoParams(cfg.lambda_tilde, first_layer_values)
+                  if cfg.variant == "neutreno" else None)
+        out = _attend(scores, v, anchor)
         state = out + state if cfg.residual else out
         _append_record(trace, state, kernel, overflow_bound, record_states)
         # stop before score products can overflow to non-finite values

@@ -14,7 +14,6 @@ from neutreno.linalg import (
     pairwise_cosine_mean,
     pairwise_sq_distances,
     row_softmax,
-    seeded_gaussian,
     substream,
 )
 
@@ -140,7 +139,10 @@ def layout(x, order):
 
 def assert_metrics_match_reference(x, w):
     ref = one_shot_sq_dists(x)
-    np.testing.assert_array_equal(pairwise_sq_distances(x), ref)
+    sq = pairwise_sq_distances(x)
+    np.testing.assert_array_equal(sq, ref)
+    np.testing.assert_array_equal(sq, sq.T)
+    assert not np.diagonal(sq).any()
     assert max_pairwise_distance(x) == float(np.sqrt(ref).max())
     assert nonlocal_energy(x, w) == float(0.5 * (w * ref).sum())
 
@@ -166,10 +168,13 @@ class TestPairwiseSqDistances:
             assert_metrics_match_reference(x, w)
 
     def test_two_uneven_blocks(self):
-        # 2**20 // 1100 = 953 rows in the first block, 147 in the second
+        # the first block has 2**16 // 400 = 163 rows; the other 237 rows
+        # span 237 columns, and 2**16 // 237 = 276 >= 237, so they form
+        # the second and last block
+        assert linalg._BLOCK_ENTRIES == 2**16
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(1100, 1))
-        assert_metrics_match_reference(x, rng.uniform(size=(1100, 1100)))
+        x = rng.normal(size=(400, 1))
+        assert_metrics_match_reference(x, rng.uniform(size=(400, 400)))
 
     def test_one_row_per_block(self):
         # 40 * 30000 entries exceed the budget, so each block is one row;
@@ -210,25 +215,16 @@ class TestPairwiseSqDistances:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-
-class TestSeededGaussian:
-    def test_deterministic(self):
-        a = seeded_gaussian(4, 5, seed=99, scale=2.0)
-        b = seeded_gaussian(4, 5, seed=99, scale=2.0)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        a = seeded_gaussian(4, 5, seed=1)
-        b = seeded_gaussian(4, 5, seed=2)
-        assert np.any(a != b)
-
-    def test_sample_mean_near_zero(self):
-        a = seeded_gaussian(1000, 1000, seed=7, scale=1.0)
-        assert abs(a.mean()) < 0.01
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            seeded_gaussian(2, 2, seed=0, scale=0.0)
+    def test_block_stays_small(self):
+        # the (512, 512) result is 2 MiB and one difference block 512 KiB
+        x = np.random.default_rng(19).normal(size=(512, 64))
+        tracemalloc.start()
+        try:
+            pairwise_sq_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestStreams:

@@ -1,7 +1,20 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from neutreno.attention import project_qkv, softmax_attention
+from neutreno import attention, stack
+from neutreno.attention import (
+    NeutrenoParams,
+    exp_score_kernel,
+    neutreno_attention,
+    project_qkv,
+    softmax_attention,
+)
+from neutreno.dynamics import DEFAULT_OVERFLOW_BOUND
+from neutreno.functional import nonlocal_energy
+from neutreno.linalg import max_pairwise_distance, pairwise_cosine_mean
 from neutreno.stack import StackConfig, StackModel, forward, init_stack
 
 
@@ -111,6 +124,106 @@ class TestForward:
         model = init_stack(make_config())
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 5)))
+
+
+def reference_forward(model, x0):
+    """The layer loop written out with the public attention functions and
+    metrics, one call per quantity; returns the output state and one
+    (j, cosine, diameter, diverged, state) tuple per record."""
+    cfg = model.config
+    state = np.asarray(x0, dtype=np.float64)
+    records = []
+
+    def record(state, kernel):
+        diverged = bool(records) and records[-1][3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(state).all():
+                records.append((math.nan, math.nan, math.nan, True, state))
+                return
+            diverged = diverged or bool(np.abs(state).max() > DEFAULT_OVERFLOW_BOUND)
+            j = nonlocal_energy(state, kernel)
+            diameter = max_pairwise_distance(state)
+            if np.any(np.linalg.norm(state, axis=1) == 0.0):
+                cos = math.nan
+            else:
+                cos = pairwise_cosine_mean(state)
+        records.append((j, cos, diameter, diverged, state))
+
+    for index, proj in enumerate(model.projections):
+        q, k, v = project_qkv(state, proj)
+        if cfg.variant == "symmetric":
+            q = k
+        with np.errstate(over="ignore"):
+            kernel = exp_score_kernel(q, k)
+        if index == 0:
+            record(state, kernel)
+            first_layer_values = v
+        if cfg.variant == "neutreno":
+            params = NeutrenoParams(cfg.lambda_tilde, first_layer_values)
+            out = neutreno_attention(q, k, v, params)
+        else:
+            out = softmax_attention(q, k, v)
+        state = out + state if cfg.residual else out
+        record(state, kernel)
+        if not np.isfinite(state).all() or np.abs(state).max() > 1e150:
+            break
+    return state, records
+
+
+def assert_matches_reference(model, x0):
+    out, trace = forward(model, x0, record_states=True)
+    ref_out, ref_records = reference_forward(model, x0)
+    np.testing.assert_array_equal(out, ref_out)
+    assert len(trace) == len(ref_records)
+    for step, (rec, (j, cos, diameter, diverged, state)) in enumerate(
+            zip(trace, ref_records)):
+        assert rec.step == step
+        np.testing.assert_array_equal(
+            [rec.j_value, rec.mean_cosine, rec.max_pairwise], [j, cos, diameter])
+        assert rec.diverged == diverged
+        np.testing.assert_array_equal(rec.state, state)
+    return trace
+
+
+class TestForwardMatchesReference:
+    """``forward`` computes the scores once per layer and shares them
+    between the softmax and the energy kernel; its output and every trace
+    field must equal the per-call reference bit for bit."""
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("variant,lam", [("softmax", 0.0), ("symmetric", 0.0),
+                                             ("neutreno", 0.0), ("neutreno", 0.6)])
+    def test_variants(self, variant, lam, residual):
+        x0 = np.random.default_rng(20).normal(size=(9, 6))
+        model = init_stack(make_config(layers=6, variant=variant, lambda_tilde=lam,
+                                       residual=residual))
+        assert_matches_reference(model, x0)
+
+    @pytest.mark.parametrize("layers", [60, 300])
+    @pytest.mark.parametrize("variant,lam", [("softmax", 0.0), ("symmetric", 0.0),
+                                             ("neutreno", 0.6)])
+    def test_overflowing_residual_stack(self, variant, lam, layers):
+        config = StackConfig(layers=layers, input_dim=8, key_dim=8, value_dim=8,
+                             variant=variant, lambda_tilde=lam, residual=True,
+                             seed=3, init_scale=5.0)
+        x0 = np.random.default_rng(21).normal(size=(16, 8))
+        trace = assert_matches_reference(init_stack(config), x0)
+        # the state passes the overflow bound and saturates the kernel to
+        # inf (non-finite energies) within 60 layers; past 1e150, about 220
+        # layers in, the run stops early
+        assert trace.diverged
+        assert not np.isfinite(trace.final.j_value)
+        assert (len(trace) < layers + 1) == (layers == 300)
+
+    @pytest.mark.parametrize("variant", stack.VARIANTS)
+    def test_scores_computed_once_per_layer(self, variant):
+        model = init_stack(make_config(layers=5, variant=variant, lambda_tilde=0.6))
+        x0 = np.random.default_rng(22).normal(size=(7, 6))
+        spy = mock.Mock(wraps=attention.scaled_scores)
+        with mock.patch.object(attention, "scaled_scores", spy), \
+                mock.patch.object(stack, "scaled_scores", spy):
+            forward(model, x0)
+        assert spy.call_count == 5
 
 
 class TestSmoothingTendency:

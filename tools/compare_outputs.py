@@ -1,0 +1,115 @@
+"""Check that two source trees write byte-identical experiment outputs.
+
+Runs a fixed list of ``neutreno`` commands and the four demo scripts,
+once from the checkout that holds this script and once from ``--parent``
+(another checkout, for example of the parent commit).  Each run is a
+subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread.  The exit
+status, every file under ``--out`` and stdout (with the output directory
+replaced by ``<out>``) are compared byte for byte.
+
+    python tools/compare_outputs.py --parent ../neutreno-parent
+
+Prints the first difference and exits 1, or exits 0 when every run
+matches.  It is not part of the test suite: the bits depend on the BLAS
+build, so both trees must run on the same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+ENSEMBLE_SWEEP = ["stack", "--variant", "neutreno", "--n-seeds", "50",
+                  "--lambda-sweep", "0.1,0.2,0.4,0.5,0.6,0.8,1,2",
+                  "--expect-separation", "0.9", "--seed", "1"]
+WIDE_STACK = ["stack", "--n", "512", "--input-dim", "64", "--key-dim", "64",
+              "--value-dim", "64", "--n-seeds", "1", "--seed", "1"]
+
+COMMANDS = {
+    "dynamics": ["dynamics"],
+    "dynamics-neutreno": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "0.6"],
+    "dynamics-divergent": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "3",
+                           "--steps", "400"],
+    "stack": ["stack"],
+    "stack-symmetric": ["stack", "--variant", "symmetric", "--n-seeds", "5"],
+    "ensemble-sweep": ENSEMBLE_SWEEP,
+    "wide-stack": WIDE_STACK,
+    **{f"deep-residual-{variant}": ["stack", "--variant", variant, "--layers", "60",
+                                    "--residual", "--init-scale", "5", "--n-seeds", "2"]
+       for variant in ("softmax", "symmetric", "neutreno")},
+    "randomwalk": ["randomwalk"],
+    "gradcheck": ["gradcheck"],
+}
+
+DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
+         "oversmoothing_random_walk.py", "smoothing_is_attention.py")
+
+
+def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout
+
+
+def outputs(tree: Path, name: str, work: Path) -> tuple[int, bytes, dict[str, bytes]]:
+    """Exit status, normalised stdout and ``--out`` files of one run."""
+    if name in COMMANDS:
+        out = work / "out"
+        status, stdout = run(tree, ["-m", "neutreno", *COMMANDS[name], "--out", str(out)],
+                             work)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+        return status, stdout.replace(str(out).encode(), b"<out>"), files
+    status, stdout = run(tree, [str(tree / "demos" / name)], work)
+    return status, stdout, {}
+
+
+def first_difference(label: str, a: bytes, b: bytes) -> str:
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    for line, (x, y) in enumerate(zip(a_lines, b_lines), start=1):
+        if x != y:
+            return f"{label}, line {line}:\n  parent: {x!r}\n  change: {y!r}"
+    return f"{label}: {len(a_lines)} lines in parent, {len(b_lines)} in change"
+
+
+def compare(parent: Path, change: Path, name: str) -> str | None:
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        status_a, stdout_a, files_a = outputs(parent, name, Path(a))
+        status_b, stdout_b, files_b = outputs(change, name, Path(b))
+    if status_a != status_b:
+        return f"exit status {status_a} in parent, {status_b} in change"
+    if stdout_a != stdout_b:
+        return first_difference("stdout", stdout_a, stdout_b)
+    if files_a.keys() != files_b.keys():
+        return (f"files only in parent: {sorted(files_a.keys() - files_b.keys())}, "
+                f"only in change: {sorted(files_b.keys() - files_a.keys())}")
+    for file in files_a:
+        if files_a[file] != files_b[file]:
+            return first_difference(file, files_a[file], files_b[file])
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="checkout to compare against (its src/ and demos/ are used)")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    for name in [*COMMANDS, *DEMOS]:
+        difference = compare(parent, HERE, name)
+        if difference is not None:
+            print(f"{name}: {difference}")
+            return 1
+        print(f"{name}: identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
