@@ -32,7 +32,6 @@ from .diagnostics import (
     GradApproxReport,
     asymmetric_grad_approx,
     grad_alignment,
-    symmetric_grad_approx,
 )
 from .dynamics import (
     DynamicsTrace,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import row_softmax
+from .linalg import _softmax, row_softmax
 
 __all__ = [
     "ProjectionSet",
@@ -109,14 +109,19 @@ def project_qkv(x, proj: ProjectionSet):
 
 
 def scaled_scores(queries, keys) -> np.ndarray:
-    """Score matrix ``queries @ keys.T / sqrt(key_dim)``."""
+    """Score matrix ``queries @ keys.T / sqrt(key_dim)``.
+
+    Leading axes, if any, index independent units and must agree; each
+    unit's matrix is the same product as for its 2-D slices.
+    """
     q = np.asarray(queries, dtype=np.float64)
     k = np.asarray(keys, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+    if q.ndim < 2 or q.ndim != k.ndim or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"query shape {q.shape} incompatible with key shape {k.shape}")
-    if q.shape[1] == 0:
+    if q.shape[-1] == 0:
         raise ValueError("key dimension must be positive")
-    return q @ k.T / np.sqrt(q.shape[1])
+    return q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
 
 
 def exp_score_kernel(queries, keys) -> np.ndarray:
@@ -142,13 +147,13 @@ def attention_matrix(queries, keys) -> np.ndarray:
 def _attend(scores, values, anchor: NeutrenoParams | None = None) -> np.ndarray:
     """``row_softmax(scores) @ values``, plus ``lam * (v0 - values)`` when
     ``anchor`` is given with a nonzero weight.  The one attention path,
-    shared by the public variants and by ``neutreno.stack``."""
+    shared by the public variants and by ``neutreno.stack``, which passes
+    a stack of units along leading axes."""
     v = np.asarray(values, dtype=np.float64)
-    if v.shape[0] != scores.shape[1]:
-        raise ValueError(
-            f"values have {v.shape[0]} rows but keys have {scores.shape[1]}"
-        )
-    out = row_softmax(scores) @ v
+    rows = v.shape[scores.ndim - 2]
+    if rows != scores.shape[-1]:
+        raise ValueError(f"values have {rows} rows but keys have {scores.shape[-1]}")
+    out = _softmax(scores) @ v
     if anchor is not None and anchor.lambda_tilde:
         out = out + anchor.lambda_tilde * (anchor.first_layer_values - v)
     return out

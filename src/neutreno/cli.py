@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,21 +201,25 @@ def cmd_dynamics(args) -> int:
 # stack
 
 
-def _run_stack_unit(cfg, variant: str, lam: float, unit: int):
-    model = stack.init_stack(stack.StackConfig(
+def _stack_models(cfg, variant: str) -> list:
+    """One model per seed unit, drawn from ``mix_seed(seed, unit, 0)``."""
+    return [stack.init_stack(stack.StackConfig(
         layers=cfg["layers"],
         input_dim=cfg["input_dim"],
         key_dim=cfg["key_dim"],
         value_dim=cfg["value_dim"],
         variant=variant,
-        lambda_tilde=lam if variant == "neutreno" else 0.0,
         residual=cfg["residual"],
         seed=mix_seed(cfg["seed"], unit, 0),
         init_scale=cfg["init_scale"],
-    ))
-    x0 = substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
-    _, trace = stack.forward(model, x0)
-    return trace
+    )) for unit in range(cfg["n_seeds"])]
+
+
+def _stack_traces(models, x0, lam: float) -> list:
+    """Every unit's trace at anchor weight ``lam``, from one batched pass."""
+    if models[0].config.variant == "neutreno":
+        models = [replace(m, config=replace(m.config, lambda_tilde=lam)) for m in models]
+    return stack.forward(models, x0)[1]
 
 
 def _stack_csv_rows(trace):
@@ -228,6 +233,8 @@ def cmd_stack(args) -> int:
     cfg = _resolve(STACK_SCHEMA, args, list(STACK_SCHEMA))
     if cfg["variant"] not in stack.VARIANTS:
         raise ConfigError(f"unknown stack variant {cfg['variant']!r}")
+    if cfg["n_seeds"] < 1:
+        raise ConfigError(f"n_seeds must be positive, got {cfg['n_seeds']}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _warn_lambda(cfg["lambda_tilde"])
@@ -235,19 +242,22 @@ def cmd_stack(args) -> int:
     sweep = cfg["lambda_sweep"] or [cfg["lambda_tilde"]]
     compare = cfg["variant"] != "softmax"
 
-    # baseline traces are shared across the sweep
-    baseline_traces = []
-    for unit in range(cfg["n_seeds"]):
-        trace = _run_stack_unit(cfg, "softmax", 0.0, unit)
-        baseline_traces.append(trace)
+    # each unit's input is drawn once; baseline traces are shared across
+    # the sweep, and the compared models are reused at every lambda
+    x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
+                   for unit in range(cfg["n_seeds"])])
+    _, baseline_traces = stack.forward(_stack_models(cfg, "softmax"), x0)
+    for unit, trace in enumerate(baseline_traces):
         path = out / f"stack_softmax_seed{unit}.csv"
         _write_csv(path, ["layer", "mean_cosine", "j_value", "max_pairwise"],
                    _stack_csv_rows(trace))
+    models = _stack_models(cfg, cfg["variant"]) if compare else None
 
     failures = []
     for lam in sweep:
         per_seed = []
         wins = 0
+        traces = _stack_traces(models, x0, lam) if compare else None
         for unit in range(cfg["n_seeds"]):
             seed_record = {
                 "seed_index": unit,
@@ -256,7 +266,7 @@ def cmd_stack(args) -> int:
                 "baseline_final_max_pairwise": baseline_traces[unit].final.max_pairwise,
             }
             if compare:
-                trace = _run_stack_unit(cfg, cfg["variant"], lam, unit)
+                trace = traces[unit]
                 tag = f"lambda{lam:g}_" if len(sweep) > 1 else ""
                 path = out / f"stack_{cfg['variant']}_{tag}seed{unit}.csv"
                 _write_csv(path, ["layer", "mean_cosine", "j_value", "max_pairwise"],

@@ -23,7 +23,6 @@ from .attention import exp_score_kernel
 
 __all__ = [
     "GradApproxReport",
-    "symmetric_grad_approx",
     "asymmetric_grad_approx",
     "grad_alignment",
 ]
@@ -60,11 +59,6 @@ def asymmetric_grad_approx(values, queries, keys) -> np.ndarray:
     return kernel.sum(axis=1)[:, None] * v - kernel @ v
 
 
-def symmetric_grad_approx(values, keys) -> np.ndarray:
-    """Same weighted difference sum with the key-key kernel."""
-    return asymmetric_grad_approx(values, keys, keys)
-
-
 def grad_alignment(values, queries, keys) -> GradApproxReport:
     """Compare the two gradient estimates row by row.
 
@@ -73,7 +67,7 @@ def grad_alignment(values, queries, keys) -> GradApproxReport:
     short-circuit to an alignment of exactly 1.0.  Raises if every row is
     degenerate, which happens exactly when all value rows are equal.
     """
-    g_sym = symmetric_grad_approx(values, keys)
+    g_sym = asymmetric_grad_approx(values, keys, keys)
     g_asym = asymmetric_grad_approx(values, queries, keys)
 
     sym_norms = np.linalg.norm(g_sym, axis=1)

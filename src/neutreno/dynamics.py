@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import max_pairwise_distance, pairwise_cosine_mean, pairwise_sq_distances
+from .linalg import (
+    _cosine_means, _sq_distances, max_pairwise_distance, pairwise_sq_distances,
+)
 from .functional import _check_weights
 from .random_walk import _check_transition
 
@@ -87,37 +89,52 @@ class DynamicsTrace:
         return self.records[-1].diverged if self.records else False
 
 
-def _append_record(trace: DynamicsTrace, state: np.ndarray, weights: np.ndarray,
-                   overflow_bound: float, record_states: bool) -> None:
-    """Append the metrics of ``state`` to ``trace`` as its next step.
+def _record_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
+    """J, cosine, diameter and overflow flag of each finite (N, D) unit in
+    ``x``, one array each; J is weighted by that unit's ``weights``."""
+    # J and the diameter share one squared-distance matrix; the
+    # expressions are those of nonlocal_energy, max_pairwise_distance and
+    # pairwise_cosine_mean
+    w = _check_weights(weights, x.shape[-2], ndim=3)
+    sq = _sq_distances(x)
+    norms = np.linalg.norm(x, axis=-1)
+    # the cosine is undefined with a zero row, whose NaN norm spreads to
+    # its unit's mean, or with a single row, whose mean is 0 / 0
+    if not norms.all():
+        norms[norms == 0.0] = np.nan
+    return (0.5 * (w * sq).sum(axis=(-2, -1)),
+            _cosine_means(x, norms),
+            np.sqrt(sq.max(axis=(-2, -1))),
+            np.abs(x).max(axis=(-2, -1)) > overflow_bound)
+
+
+def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np.ndarray,
+                    overflow_bound: float, record_states: bool) -> None:
+    """Append the metrics of each unit ``states[i]`` to ``traces[i]`` as its
+    next step; ``states`` is (S, N, D) and ``weights`` (S, N, N).
 
     J is weighted by ``weights``; J, cosine and diameter are NaN where
-    undefined.  The ``diverged`` flag latches: it is set from the first
-    state that is non-finite or exceeds ``overflow_bound`` in magnitude.
+    undefined.  The ``diverged`` flag latches per unit: it is set from the
+    first state that is non-finite or exceeds ``overflow_bound`` in
+    magnitude.
     """
-    diverged = trace.diverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(state).all():
-            diverged = True
-            j = cos = mp = float("nan")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if np.isfinite(states).all():
+            j, cos, mp, big = _record_metrics(states, weights, overflow_bound)
         else:
-            diverged = diverged or bool(np.abs(state).max() > overflow_bound)
-            # J and the diameter share one squared-distance matrix; the
-            # expressions are those of nonlocal_energy and max_pairwise_distance
-            w = _check_weights(weights, state.shape[0])
-            sq = pairwise_sq_distances(state)
-            j = float(0.5 * (w * sq).sum())
-            mp = float(np.sqrt(sq.max()))
-            try:
-                cos = pairwise_cosine_mean(state)
-            except ValueError:
-                # a single row or a zero row: the cosine is undefined
-                cos = float("nan")
-    trace.append(TraceRecord(
-        step=len(trace), j_value=j, mean_cosine=cos, max_pairwise=mp,
-        diverged=diverged,
-        state=state.copy() if record_states else None,
-    ))
+            finite = np.isfinite(states).all(axis=(-2, -1))
+            j, cos, mp = np.full((3, len(traces)), np.nan)
+            big = ~finite
+            if finite.any():
+                j[finite], cos[finite], mp[finite], big[finite] = _record_metrics(
+                    states[finite], weights[finite], overflow_bound)
+    for trace, state, j_value, mean_cosine, max_pairwise, overflow in zip(
+            traces, states, j.tolist(), cos.tolist(), mp.tolist(), big.tolist()):
+        trace.append(TraceRecord(
+            step=len(trace), j_value=j_value, mean_cosine=mean_cosine,
+            max_pairwise=max_pairwise, diverged=trace.diverged or overflow,
+            state=state.copy() if record_states else None,
+        ))
 
 
 def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
@@ -135,14 +152,15 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
         raise ValueError(f"steps must be at least 1, got {steps}")
 
     trace = DynamicsTrace()
-    _append_record(trace, state, a, overflow_bound, record_states)
+    traces, weights = [trace], a[None]
+    _append_records(traces, state[None], weights, overflow_bound, record_states)
     for _ in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = a @ state
             if lam:
                 nxt = nxt + lam * (anchor - state)
         state = nxt
-        _append_record(trace, state, a, overflow_bound, record_states)
+        _append_records(traces, state[None], weights, overflow_bound, record_states)
     return trace
 
 

@@ -7,6 +7,8 @@ never mutate their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Entries per (rows, span, D) difference block in ``pairwise_sq_distances``:
@@ -45,14 +47,18 @@ def row_softmax(scores) -> np.ndarray:
         If any input entry is NaN or infinite; the message names the
         first offending row.
     """
-    scores = _as_matrix(scores, "scores")
+    return _softmax(_as_matrix(scores, "scores"))
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """``row_softmax`` of every matrix in a stack with leading unit axes."""
     finite = np.isfinite(scores)
     if not finite.all():
-        bad_row = int(np.argwhere(~finite)[0, 0])
+        bad_row = int(np.argwhere(~finite)[0, -2])
         raise ValueError(f"non-finite entry in row {bad_row} of scores")
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def pairwise_cosine_mean(tokens) -> float:
@@ -70,10 +76,19 @@ def pairwise_cosine_mean(tokens) -> float:
     if np.any(norms == 0.0):
         bad = int(np.argwhere(norms == 0.0)[0, 0])
         raise ValueError(f"row {bad} has zero norm; cosine undefined")
-    unit = x / norms[:, None]
-    gram = unit @ unit.T
-    total = gram.sum() - np.trace(gram)
-    return float(np.clip(total / (n * (n - 1)), -1.0, 1.0))
+    return float(_cosine_means(x, norms))
+
+
+def _cosine_means(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``pairwise_cosine_mean`` of every (N, D) matrix in a stack with
+    leading unit axes, given its row norms; meaningless for a matrix with
+    fewer than two rows or a zero row."""
+    n = x.shape[-2]
+    unit = x / norms[..., None]
+    gram = unit @ unit.swapaxes(-1, -2)
+    total = gram.sum(axis=(-2, -1)) - np.trace(gram, axis1=-2, axis2=-1)
+    # clipped into [-1, 1]; NaN stays NaN
+    return np.minimum(np.maximum(total / (n * (n - 1)), -1.0), 1.0)
 
 
 def pairwise_sq_distances(tokens) -> np.ndarray:
@@ -90,18 +105,24 @@ def pairwise_sq_distances(tokens) -> np.ndarray:
     is bounded.  Identical finite rows subtract to exact zeros, so their
     entry, and every diagonal entry, is exactly 0.0.
     """
-    x = _as_matrix(tokens, "tokens")
-    n, d = x.shape
-    out = np.empty((n, n))
+    return _sq_distances(_as_matrix(tokens, "tokens"))
+
+
+def _sq_distances(x: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_distances`` of every (N, D) matrix in a stack with
+    leading unit axes; the block budget counts every unit."""
+    *lead, n, d = x.shape
+    units = math.prod(lead)
+    out = np.empty((*lead, n, n))
     start = 0
     while start < n:
-        stop = min(n, start + max(1, _BLOCK_ENTRIES // max((n - start) * d, 1)))
+        stop = min(n, start + max(1, _BLOCK_ENTRIES // max(units * (n - start) * d, 1)))
         # a fresh difference follows the layout of x, which fixes the order
         # of the sum over D; a reused C-ordered buffer would change the bits
-        diff = x[start:stop, None, :] - x[None, start:, :]
+        diff = x[..., start:stop, None, :] - x[..., None, start:, :]
         block = np.multiply(diff, diff, out=diff).sum(axis=-1)
-        out[start:stop, start:] = block
-        out[start:, start:stop] = block.T
+        out[..., start:stop, start:] = block
+        out[..., start:, start:stop] = block.swapaxes(-1, -2)
         start = stop
     return out
 

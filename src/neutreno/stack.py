@@ -15,12 +15,12 @@ measured under the first layer's kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import NeutrenoParams, ProjectionSet, _attend, project_qkv, scaled_scores
-from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_record
+from .attention import NeutrenoParams, ProjectionSet, _attend, scaled_scores
+from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_records
 
 __all__ = ["VARIANTS", "StackConfig", "StackModel", "init_stack", "forward"]
 
@@ -94,45 +94,96 @@ def init_stack(config: StackConfig) -> StackModel:
     return StackModel(projections=tuple(layers), config=config)
 
 
-def forward(model: StackModel, x0, *, record_states: bool = False,
+def _shared_config(models: list[StackModel]) -> StackConfig:
+    """The config that every model shares apart from its seed."""
+    if not models:
+        raise ValueError("need at least one model")
+    config = models[0].config
+    for model in models[1:]:
+        if replace(model.config, seed=config.seed) != config:
+            raise ValueError(
+                f"models must share one config apart from the seed: "
+                f"{model.config} differs from {config}"
+            )
+    return config
+
+
+def forward(model, x0, *, record_states: bool = False,
             overflow_bound: float = DEFAULT_OVERFLOW_BOUND):
     """Run the stack on input tokens; return (output, per-layer trace).
+
+    ``model`` is one ``StackModel`` and ``x0`` its (N, D) tokens, or
+    ``model`` is a sequence of S models that share one config apart from
+    the seed and ``x0`` is (S, N, D); then the output is (S, N, D') and
+    the trace a list of S traces.  Both forms run the same batched code,
+    and each unit's output and trace are bitwise-identical to a call with
+    that unit alone.
 
     The anchored variant caches the value matrix of layer 1 on every
     forward pass and pulls each later layer's values toward it with
     weight ``lambda_tilde``.  Identical (model, x0) pairs produce
     bitwise-identical outputs and traces.
 
-    If the state overflows to non-finite values (possible with residual
-    connections at extreme depth), the run stops after recording that
-    layer, so the trace can be shorter than ``layers + 1`` records.
+    If a unit's state overflows to non-finite values (possible with
+    residual connections at extreme depth), that unit stops after
+    recording the layer, so its trace can be shorter than ``layers + 1``
+    records; the other units go on.
     """
-    cfg = model.config
+    single = isinstance(model, StackModel)
+    models = [model] if single else list(model)
+    cfg = _shared_config(models)
     state = np.asarray(x0, dtype=np.float64)
-    if state.ndim != 2 or state.shape[1] != cfg.input_dim:
+    if single:
+        state = state[None]
+    if state.ndim != 3 or state.shape[0] != len(models) or state.shape[2] != cfg.input_dim:
         raise ValueError(
-            f"input shape {state.shape} does not match input_dim {cfg.input_dim}"
+            f"input shape {np.shape(x0)} does not match input_dim {cfg.input_dim}"
+            + ("" if single else f" and {len(models)} models")
         )
 
-    trace = DynamicsTrace()
+    traces = [DynamicsTrace() for _ in models]
+    output = np.empty((len(models), state.shape[1], cfg.value_dim))
+    active = np.arange(len(models))
+    live = traces
     first_layer_values = None
-    for index, proj in enumerate(model.projections):
-        q, k, v = project_qkv(state, proj)
+    for index in range(len(models[0].projections)):
+        # this layer's weights of the active units, each transposed to
+        # (S, input_dim, rows): state @ w is x @ w.T for every unit
+        w_q, w_k, w_v = (np.stack([getattr(models[unit].projections[index], name)
+                                   for unit in active]).swapaxes(-1, -2)
+                         for name in ("w_q", "w_k", "w_v"))
+        k = state @ w_k
+        q = k if cfg.variant == "symmetric" else state @ w_q
+        v = state @ w_v
         # one score matrix per layer feeds both the softmax and the kernel
-        scores = scaled_scores(k if cfg.variant == "symmetric" else q, k)
+        scores = scaled_scores(q, k)
+        if not np.isfinite(scores).all():
+            unit, row = np.argwhere(~np.isfinite(scores))[0, :2].tolist()
+            raise ValueError(
+                f"non-finite entry in row {row} of scores of unit {active[unit]}")
         with np.errstate(over="ignore"):
             # a diverging state saturates the kernel to inf; that is
             # recorded as data, not raised
             kernel = np.exp(scores)
         if index == 0:
-            _append_record(trace, state, kernel, overflow_bound, record_states)
+            _append_records(live, state, kernel, overflow_bound, record_states)
             first_layer_values = v
         anchor = (NeutrenoParams(cfg.lambda_tilde, first_layer_values)
                   if cfg.variant == "neutreno" else None)
         out = _attend(scores, v, anchor)
         state = out + state if cfg.residual else out
-        _append_record(trace, state, kernel, overflow_bound, record_states)
-        # stop before score products can overflow to non-finite values
-        if not np.isfinite(state).all() or np.abs(state).max() > 1e150:
-            break
-    return state, trace
+        _append_records(live, state, kernel, overflow_bound, record_states)
+        # a unit stops before its score products can overflow to
+        # non-finite values
+        stop = ~np.isfinite(state).all(axis=(-2, -1)) \
+            | (np.abs(state).max(axis=(-2, -1)) > 1e150)
+        if stop.any():
+            output[active[stop]] = state[stop]
+            keep = ~stop
+            active, state = active[keep], state[keep]
+            first_layer_values = first_layer_values[keep]
+            live = [traces[unit] for unit in active]
+            if not active.size:
+                break
+    output[active] = state
+    return (output[0], traces[0]) if single else (output, traces)

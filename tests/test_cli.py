@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from neutreno import stack
 from neutreno.cli import main
 from neutreno.tensorfile import save_tensor
 
@@ -115,6 +117,35 @@ class TestStackCommand:
                      "stack_neutreno_seed1.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+        sweep = args + ["--lambda-sweep", "0.2,0.6"]
+        assert main(sweep + ["--out", str(tmp_path / "c")]) == 0
+        assert main(sweep + ["--out", str(tmp_path / "d")]) == 0
+        names = sorted(p.name for p in (tmp_path / "c").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "d").iterdir())
+        assert "stack_neutreno_lambda0.6_seed1.csv" in names
+        assert "summary_lambda0.2.json" in names
+        for name in names:
+            assert (tmp_path / "c" / name).read_bytes() == \
+                   (tmp_path / "d" / name).read_bytes()
+
+    def test_one_batched_forward_per_lambda(self, tmp_path):
+        """All seeds of one model run in a single batched forward pass: one
+        for the baseline and one per anchor weight."""
+        spy = mock.Mock(wraps=stack.forward)
+        with mock.patch.object(stack, "forward", spy):
+            assert main(["stack", "--variant", "neutreno", "--n-seeds", "3",
+                         "--lambda-sweep", "0.2,0.6", "--out", str(tmp_path / "s")]) == 0
+        assert spy.call_count == 3
+
+    def test_overflowing_scores_name_the_unit(self, tmp_path, capsys):
+        code = main(["stack", "--layers", "300", "--residual", "--init-scale", "1e5",
+                     "--n-seeds", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "non-finite entry in row 0 of scores of unit 0" in capsys.readouterr().err
+
+    def test_rejects_nonpositive_seed_count(self, tmp_path, capsys):
+        assert main(["stack", "--n-seeds", "0", "--out", str(tmp_path / "z")]) == 2
+        assert "n_seeds" in capsys.readouterr().err
 
 
 class TestRandomwalkCommand:

@@ -6,7 +6,6 @@ import pytest
 from neutreno.diagnostics import (
     asymmetric_grad_approx,
     grad_alignment,
-    symmetric_grad_approx,
 )
 
 
@@ -26,22 +25,14 @@ class TestGradApprox:
         rng = np.random.default_rng(110)
         v = np.tile([1.0, -0.5], (4, 1))
         k = rng.normal(size=(4, 3))
-        assert not symmetric_grad_approx(v, k).any()
+        assert not asymmetric_grad_approx(v, k, k).any()
         assert not asymmetric_grad_approx(v, rng.normal(size=(4, 3)), k).any()
 
     def test_hand_computed_two_tokens(self):
         """Zero keys weight every difference by exp(0) = 1."""
         v = np.array([[0.0], [1.0]])
         k = np.zeros((2, 1))
-        np.testing.assert_allclose(symmetric_grad_approx(v, k), [[-1.0], [1.0]])
-
-    def test_symmetric_equals_asymmetric_with_tied_queries(self):
-        rng = np.random.default_rng(111)
-        v = rng.normal(size=(5, 2))
-        k = rng.normal(size=(5, 3))
-        np.testing.assert_array_equal(
-            symmetric_grad_approx(v, k), asymmetric_grad_approx(v, k, k)
-        )
+        np.testing.assert_allclose(asymmetric_grad_approx(v, k, k), [[-1.0], [1.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(112)
@@ -52,7 +43,7 @@ class TestGradApprox:
             asymmetric_grad_approx(v, q, k), loop_grad_approx(v, q, k), atol=1e-13
         )
         np.testing.assert_allclose(
-            symmetric_grad_approx(v, k), loop_grad_approx(v, k, k), atol=1e-13
+            asymmetric_grad_approx(v, k, k), loop_grad_approx(v, k, k), atol=1e-13
         )
 
     def test_translation_invariance_in_values(self):

@@ -226,6 +226,31 @@ class TestPairwiseSqDistances:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("block", [1, 100, None])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stack_matches_each_unit(self, block, order):
+        # the engine behind the trace records takes a stack of units along a
+        # leading axis; each unit's matrix must equal the 2-D call's
+        x = np.random.default_rng(20).normal(size=(5, 37, 6))
+        x = np.asfortranarray(x) if order == "F" else x
+        budget = linalg._BLOCK_ENTRIES if block is None else block
+        with mock.patch.object(linalg, "_BLOCK_ENTRIES", budget):
+            stacked = linalg._sq_distances(x)
+        for unit in range(5):
+            np.testing.assert_array_equal(stacked[unit], pairwise_sq_distances(x[unit]))
+
+    def test_block_budget_counts_units(self):
+        # the (32, 128, 128) result is 4 MiB; a budget that ignored the 32
+        # units would form 16-row blocks of 16 MiB, this one 1 MiB
+        x = np.random.default_rng(21).normal(size=(32, 128, 32))
+        tracemalloc.start()
+        try:
+            linalg._sq_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestStreams:
     def test_substream_deterministic(self):

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neutreno import attention, stack
 from neutreno.attention import (
@@ -16,6 +17,9 @@ from neutreno.dynamics import DEFAULT_OVERFLOW_BOUND
 from neutreno.functional import nonlocal_energy
 from neutreno.linalg import max_pairwise_distance, pairwise_cosine_mean
 from neutreno.stack import StackConfig, StackModel, forward, init_stack
+
+VARIANT_LAMBDAS = [("softmax", 0.0), ("symmetric", 0.0),
+                   ("neutreno", 0.0), ("neutreno", 0.6)]
 
 
 def make_config(**overrides):
@@ -224,6 +228,125 @@ class TestForwardMatchesReference:
                 mock.patch.object(stack, "scaled_scores", spy):
             forward(model, x0)
         assert spy.call_count == 5
+
+
+def unit_models(units, **config):
+    """One model per unit, sharing ``config`` apart from the seed."""
+    return [init_stack(StackConfig(seed=100 + unit, **config)) for unit in range(units)]
+
+
+def assert_batch_matches_units(models, x0):
+    """The batched ``forward`` equals a loop of 2-D calls, bit for bit, in
+    the output and every trace field (NaN equals NaN)."""
+    out, traces = forward(models, x0, record_states=True)
+    assert out.shape[0] == len(traces) == len(models)
+    for model, x, unit_out, trace in zip(models, x0, out, traces):
+        ref_out, ref_trace = forward(model, x, record_states=True)
+        np.testing.assert_array_equal(unit_out, ref_out)
+        assert len(trace) == len(ref_trace)
+        for rec, ref in zip(trace, ref_trace):
+            assert (rec.step, rec.diverged) == (ref.step, ref.diverged)
+            np.testing.assert_array_equal(
+                [rec.j_value, rec.mean_cosine, rec.max_pairwise],
+                [ref.j_value, ref.mean_cosine, ref.max_pairwise])
+            np.testing.assert_array_equal(rec.state, ref.state)
+    return traces
+
+
+class TestBatchedForward:
+    """``forward`` over S units of (N, D) tokens is the 2-D path run on a
+    stack: batched ``@`` makes one product per unit, so every bit must
+    match the unit run alone."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        units=st.integers(1, 6),
+        n=st.integers(1, 24),
+        d=st.integers(1, 8),
+        key_dim=st.integers(1, 8),
+        variant_lam=st.sampled_from(VARIANT_LAMBDAS),
+        residual=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_unit_loop(self, units, n, d, key_dim, variant_lam, residual, seed):
+        variant, lam = variant_lam
+        models = unit_models(units, layers=4, input_dim=d, key_dim=key_dim, value_dim=d,
+                             variant=variant, lambda_tilde=lam, residual=residual)
+        x0 = np.random.default_rng(seed).normal(size=(units, n, d))
+        assert_batch_matches_units(models, x0)
+
+    def test_units_stop_at_different_layers(self):
+        models = unit_models(4, layers=300, input_dim=8, key_dim=8, value_dim=8,
+                             variant="neutreno", lambda_tilde=0.6, residual=True,
+                             init_scale=5.0)
+        x0 = np.random.default_rng(23).normal(size=(4, 16, 8))
+        traces = assert_batch_matches_units(models, x0)
+        lengths = [len(trace) for trace in traces]
+        assert max(lengths) < 301
+        assert len(set(lengths)) > 1
+        assert all(trace.diverged for trace in traces)
+
+    def test_zero_row_gives_nan_cosine_in_its_unit_only(self):
+        models = [init_stack(make_config(seed=seed)) for seed in (1, 2, 3)]
+        x0 = np.random.default_rng(24).normal(size=(3, 5, 6))
+        x0[1, 2] = 0.0
+        traces = assert_batch_matches_units(models, x0)
+        assert math.isnan(traces[1][0].mean_cosine)
+        assert not math.isnan(traces[0][0].mean_cosine)
+        assert not math.isnan(traces[2][0].mean_cosine)
+        assert all(np.isfinite(trace[0].j_value) for trace in traces)
+
+    def test_zero_lambda_matches_softmax_bitwise(self):
+        x0 = np.random.default_rng(25).normal(size=(5, 6, 6))
+        plain_out, plain = forward(unit_models(5, layers=4, input_dim=6, key_dim=5,
+                                               value_dim=6), x0)
+        anchored_out, anchored = forward(
+            unit_models(5, layers=4, input_dim=6, key_dim=5, value_dim=6,
+                        variant="neutreno", lambda_tilde=0.0), x0)
+        np.testing.assert_array_equal(plain_out, anchored_out)
+        for a_trace, b_trace in zip(plain, anchored):
+            for a, b in zip(a_trace, b_trace):
+                assert (a.j_value, a.mean_cosine, a.max_pairwise) == \
+                       (b.j_value, b.mean_cosine, b.max_pairwise)
+
+    def test_non_finite_scores_name_the_unit(self):
+        # unit 0 has zero scores and grows by 1e100 a layer, so it stops
+        # after two layers; unit 1 grows by 11 a layer and its scores,
+        # scaled by 1e200, overflow about 50 layers in, when it is the only
+        # active unit
+        config = StackConfig(layers=60, input_dim=2, key_dim=2, value_dim=2,
+                             residual=True)
+        eye = np.eye(2)
+
+        def model(w_qk, w_v):
+            proj = attention.ProjectionSet(w_qk * eye, w_qk * eye, w_v * eye)
+            return StackModel(projections=(proj,) * config.layers, config=config)
+
+        models = [model(0.0, 1e100), model(1e100, 10.0)]
+        with pytest.raises(ValueError, match="of scores of unit 1"), \
+                np.errstate(over="ignore"):
+            forward(models, np.ones((2, 3, 2)))
+        _, trace = forward(models[0], np.ones((3, 2)))
+        assert len(trace) == 3
+
+    def test_rejects_mismatched_unit_count(self):
+        models = [init_stack(make_config(seed=seed)) for seed in (1, 2)]
+        with pytest.raises(ValueError, match="2 models"):
+            forward(models, np.zeros((3, 4, 6)))
+        with pytest.raises(ValueError):
+            forward(models, np.zeros((4, 6)))
+
+    @pytest.mark.parametrize("change", [dict(lambda_tilde=0.6), dict(residual=True),
+                                        dict(init_scale=2.0), dict(layers=3)])
+    def test_rejects_configs_that_differ_beyond_the_seed(self, change):
+        models = [init_stack(make_config(variant="neutreno", seed=1)),
+                  init_stack(make_config(variant="neutreno", seed=2, **change))]
+        with pytest.raises(ValueError, match="apart from the seed"):
+            forward(models, np.zeros((2, 4, 6)))
+
+    def test_rejects_empty_model_list(self):
+        with pytest.raises(ValueError):
+            forward([], np.zeros((0, 4, 6)))
 
 
 class TestSmoothingTendency:

@@ -43,6 +43,17 @@ COMMANDS = {
     **{f"deep-residual-{variant}": ["stack", "--variant", variant, "--layers", "60",
                                     "--residual", "--init-scale", "5", "--n-seeds", "2"]
        for variant in ("softmax", "symmetric", "neutreno")},
+    # units stop at different layers inside one batched pass
+    "deep-residual-300": ["stack", "--variant", "neutreno", "--layers", "300", "--residual",
+                          "--init-scale", "5", "--n-seeds", "4",
+                          "--lambda-sweep", "0.2,0.6"],
+    # symmetric models are reused across the sweep
+    "symmetric-sweep": ["stack", "--variant", "symmetric", "--n-seeds", "5",
+                        "--lambda-sweep", "0.2,0.6"],
+    # odd shapes and a lambda = 0 sweep point
+    "odd-shapes": ["stack", "--n", "37", "--input-dim", "5", "--key-dim", "3",
+                   "--value-dim", "5", "--n-seeds", "7", "--lambda-sweep", "0,0.3,3",
+                   "--seed", "3"],
     "randomwalk": ["randomwalk"],
     "gradcheck": ["gradcheck"],
 }
