@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    _cosine_means, _sq_distances, max_pairwise_distance, pairwise_sq_distances,
+    _BLOCK_ENTRIES, _cosine_means, _sq_distances, max_pairwise_distance,
+    pairwise_sq_distances,
 )
 from .functional import _check_weights
 from .random_walk import _check_transition
@@ -89,23 +90,38 @@ class DynamicsTrace:
         return self.records[-1].diverged if self.records else False
 
 
-def _record_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
+def _finite_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
     """J, cosine, diameter and overflow flag of each finite (N, D) unit in
     ``x``, one array each; J is weighted by that unit's ``weights``."""
     # J and the diameter share one squared-distance matrix; the
     # expressions are those of nonlocal_energy, max_pairwise_distance and
     # pairwise_cosine_mean
-    w = _check_weights(weights, x.shape[-2], ndim=3)
     sq = _sq_distances(x)
     norms = np.linalg.norm(x, axis=-1)
     # the cosine is undefined with a zero row, whose NaN norm spreads to
     # its unit's mean, or with a single row, whose mean is 0 / 0
     if not norms.all():
         norms[norms == 0.0] = np.nan
-    return (0.5 * (w * sq).sum(axis=(-2, -1)),
+    return (0.5 * (weights * sq).sum(axis=(-2, -1)),
             _cosine_means(x, norms),
             np.sqrt(sq.max(axis=(-2, -1))),
             np.abs(x).max(axis=(-2, -1)) > overflow_bound)
+
+
+def _record_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
+    """``_finite_metrics`` of every C-ordered (N, D) unit in ``x``, with
+    weights already checked; a non-finite unit gets NaN metrics and a set
+    overflow flag."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        if finite.all():
+            return _finite_metrics(x, weights, overflow_bound)
+        j, cos, mp = np.full((3, len(x)), np.nan)
+        big = ~finite
+        if finite.any():
+            j[finite], cos[finite], mp[finite], big[finite] = _finite_metrics(
+                x[finite], weights[finite], overflow_bound)
+    return j, cos, mp, big
 
 
 def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np.ndarray,
@@ -118,16 +134,10 @@ def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np
     first state that is non-finite or exceeds ``overflow_bound`` in
     magnitude.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.isfinite(states).all():
-            j, cos, mp, big = _record_metrics(states, weights, overflow_bound)
-        else:
-            finite = np.isfinite(states).all(axis=(-2, -1))
-            j, cos, mp = np.full((3, len(traces)), np.nan)
-            big = ~finite
-            if finite.any():
-                j[finite], cos[finite], mp[finite], big[finite] = _record_metrics(
-                    states[finite], weights[finite], overflow_bound)
+    # the metrics run on the layout the recorded state has
+    states = np.ascontiguousarray(states)
+    weights = _check_weights(weights, states.shape[-2], ndim=3)
+    j, cos, mp, big = _record_metrics(states, weights, overflow_bound)
     for trace, state, j_value, mean_cosine, max_pairwise, overflow in zip(
             traces, states, j.tolist(), cos.tolist(), mp.tolist(), big.tolist()):
         trace.append(TraceRecord(
@@ -150,17 +160,33 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
         )
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    n = state.shape[0]
+    a = _check_weights(a, n)
 
+    # consecutive steps stand in for the units of the stack path; a batch's
+    # distance matrices hold at most _BLOCK_ENTRIES entries
+    batch = np.empty((min(steps + 1, max(1, _BLOCK_ENTRIES // n**2)), *state.shape))
     trace = DynamicsTrace()
-    traces, weights = [trace], a[None]
-    _append_records(traces, state[None], weights, overflow_bound, record_states)
-    for _ in range(steps):
+    for first in range(0, steps + 1, len(batch)):
+        states = batch[:steps + 1 - first]
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = a @ state
-            if lam:
-                nxt = nxt + lam * (anchor - state)
-        state = nxt
-        _append_records(traces, state[None], weights, overflow_bound, record_states)
+            for i in range(len(states)):
+                if first + i:
+                    nxt = a @ state
+                    if lam:
+                        nxt = nxt + lam * (anchor - state)
+                    state = nxt
+                states[i] = state
+        j, cos, mp, big = _record_metrics(
+            states, np.broadcast_to(a, (len(states), n, n)), overflow_bound)
+        diverged = np.logical_or.accumulate(big) | trace.diverged
+        for j_value, mean_cosine, max_pairwise, latched, recorded in zip(
+                j.tolist(), cos.tolist(), mp.tolist(), diverged.tolist(), states):
+            trace.append(TraceRecord(
+                step=len(trace), j_value=j_value, mean_cosine=mean_cosine,
+                max_pairwise=max_pairwise, diverged=latched,
+                state=recorded.copy() if record_states else None,
+            ))
     return trace
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 # Entries per (rows, span, D) difference block in ``pairwise_sq_distances``:
 # 512 KiB of float64, so a block stays in a 2 MiB L2 cache and the token
-# metrics need O(N^2) memory, not O(N^2 D).
+# metrics need O(N^2) memory, not O(N^2 D).  ``neutreno.dynamics`` also
+# sizes its batches of trace records by it.
 _BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
@@ -114,13 +115,24 @@ def _sq_distances(x: np.ndarray) -> np.ndarray:
     *lead, n, d = x.shape
     units = math.prod(lead)
     out = np.empty((*lead, n, n))
+    # numpy adds fewer than 8 terms strictly left to right, whether they
+    # lie along the last axis or not; with the features outermost, one sum
+    # over axis 0 runs across every pair at once and gives the same bits
+    features_first = d < 8
+    if features_first:
+        x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     start = 0
     while start < n:
         stop = min(n, start + max(1, _BLOCK_ENTRIES // max(units * (n - start) * d, 1)))
-        # a fresh difference follows the layout of x, which fixes the order
-        # of the sum over D; a reused C-ordered buffer would change the bits
-        diff = x[..., start:stop, None, :] - x[..., None, start:, :]
-        block = np.multiply(diff, diff, out=diff).sum(axis=-1)
+        if features_first:
+            diff = x[..., start:stop, None] - x[..., None, start:]
+            block = np.multiply(diff, diff, out=diff).sum(axis=0)
+        else:
+            # from 8 terms on, the sum over the last axis is pairwise; a
+            # fresh difference follows the layout of x, which fixes its
+            # order, and a reused C-ordered buffer would change the bits
+            diff = x[..., start:stop, None, :] - x[..., None, start:, :]
+            block = np.multiply(diff, diff, out=diff).sum(axis=-1)
         out[..., start:stop, start:] = block
         out[..., start:, start:stop] = block.swapaxes(-1, -2)
         start = stop

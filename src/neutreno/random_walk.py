@@ -188,14 +188,27 @@ def walk_sample_stats(
         return WalkStats(mean=v0[start].copy(), stderr=np.zeros(v0.shape[1]),
                          n_samples=n_samples)
     uniforms = substream(seed, start, steps).random((n_samples, steps))
-    cumulative = np.cumsum(a, axis=1)
-    last = a.shape[0] - 1
+    n = a.shape[0]
+    # each row's thresholds, padded with +inf to a power-of-two width; the
+    # cumulative sums of positive entries never decrease, so bisection
+    # counts the thresholds below a draw exactly
+    width = 1 << (n - 1).bit_length()
+    thresholds = np.full((n, width), np.inf)
+    thresholds[:, :n] = np.cumsum(a, axis=1)
+    thresholds = thresholds.ravel()
     states = np.full(n_samples, start)
     for t in range(steps):
-        # inverse-CDF jump: count thresholds below the uniform draw; the
-        # clip covers draws above the rounded row sum (1 - 1 ulp)
-        states = (cumulative[states] < uniforms[:, t : t + 1]).sum(axis=1)
-        states = np.minimum(states, last)
+        # inverse-CDF jump: count thresholds below the uniform draw, one
+        # halving of the row at a time; the clip covers draws above the
+        # rounded row sum (1 - 1 ulp)
+        u = uniforms[:, t]
+        index = states * width
+        half = width // 2
+        while half:
+            index += half * (thresholds[half - 1:][index] < u)
+            half //= 2
+        # bisection stops below width, so the count is the index's low bits
+        states = np.minimum(index & (width - 1), n - 1)
     payouts = v0[states]
     mean = payouts.mean(axis=0)
     if n_samples > 1:

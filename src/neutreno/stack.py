@@ -155,8 +155,10 @@ def forward(model, x0, *, record_states: bool = False,
         k = state @ w_k
         q = k if cfg.variant == "symmetric" else state @ w_q
         v = state @ w_v
-        # one score matrix per layer feeds both the softmax and the kernel
-        scores = scaled_scores(q, k)
+        # one score matrix per layer feeds both the softmax and the kernel;
+        # an overflowing product is named by the check below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = scaled_scores(q, k)
         if not np.isfinite(scores).all():
             unit, row = np.argwhere(~np.isfinite(scores))[0, :2].tolist()
             raise ValueError(

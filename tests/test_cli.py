@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -138,10 +139,16 @@ class TestStackCommand:
         assert spy.call_count == 3
 
     def test_overflowing_scores_name_the_unit(self, tmp_path, capsys):
-        code = main(["stack", "--layers", "300", "--residual", "--init-scale", "1e5",
-                     "--n-seeds", "2", "--out", str(tmp_path / "o")])
+        # the error line is all that reaches stderr: no overflow warning
+        # from the score product precedes it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["stack", "--layers", "300", "--residual", "--init-scale", "1e5",
+                         "--n-seeds", "2", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "non-finite entry in row 0 of scores of unit 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: non-finite entry in row 0 of scores of unit 0\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_rejects_nonpositive_seed_count(self, tmp_path, capsys):
         assert main(["stack", "--n-seeds", "0", "--out", str(tmp_path / "z")]) == 2

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from neutreno import linalg
 from neutreno.dynamics import (
+    DEFAULT_OVERFLOW_BOUND,
     fixed_point_separation,
     neutreno_fixed_point,
     run_neutreno_dynamics,
     run_plain_dynamics,
 )
 from neutreno.functional import nonlocal_energy
-from neutreno.linalg import max_pairwise_distance
+from neutreno.linalg import max_pairwise_distance, pairwise_cosine_mean
 from neutreno.random_walk import limit_vector, stationary_power_iteration, transition_from_scores
 
 UNIFORM_2 = np.full((2, 2), 0.5)
@@ -100,6 +104,130 @@ class TestTraceMetrics:
         anchor = rng.normal(scale=3.0, size=(9, 5))
         self.check(run_neutreno_dynamics(anchor, anchor, a, 0.6, 30,
                                          record_states=True), a)
+
+    def test_fortran_ordered_input(self):
+        # from 8 features on, the order of the sum over D follows the memory
+        # layout, so the metrics must run on the C-ordered recorded state
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(8, 40))
+            a = random_chain(rng, n)
+            v0 = np.asfortranarray(rng.normal(size=(n, d)))
+            self.check(run_plain_dynamics(v0, a, 3, record_states=True), a)
+
+
+def reference_run(v0, a, steps, lam=0.0, anchor=None,
+                  overflow_bound=DEFAULT_OVERFLOW_BOUND):
+    """The dynamics written out one step at a time with the public metrics;
+    one (j, cosine, diameter, diverged, state) tuple per step."""
+    state = np.array(v0, dtype=np.float64)
+    records = []
+    diverged = False
+    for step in range(steps + 1):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if step:
+                nxt = a @ state
+                if lam:
+                    nxt = nxt + lam * (anchor - state)
+                state = nxt
+            if not np.isfinite(state).all():
+                diverged = True
+                records.append((math.nan, math.nan, math.nan, diverged, state))
+                continue
+            diverged = diverged or bool(np.abs(state).max() > overflow_bound)
+            if len(state) < 2 or not np.linalg.norm(state, axis=1).all():
+                cos = math.nan
+            else:
+                cos = pairwise_cosine_mean(state)
+            records.append((nonlocal_energy(state, a), cos, max_pairwise_distance(state),
+                            diverged, state))
+    return records
+
+
+def assert_matches_reference(trace, reference, record_states):
+    assert len(trace) == len(reference)
+    for step, (rec, (j, cos, diameter, diverged, state)) in enumerate(zip(trace, reference)):
+        assert rec.step == step
+        np.testing.assert_array_equal(
+            [rec.j_value, rec.mean_cosine, rec.max_pairwise], [j, cos, diameter])
+        assert rec.diverged is diverged
+        if record_states:
+            np.testing.assert_array_equal(rec.state, state)
+        else:
+            assert rec.state is None
+
+
+class TestBatchedRecords:
+    """The records of a run are computed a batch of steps at a time; every
+    field must equal the per-step reference bit for bit."""
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.6])
+    def test_many_batches(self, lam, record_states):
+        # 2**16 // 64**2 = 16 steps per batch, so 401 records span 26 batches
+        rng = np.random.default_rng(110)
+        a = random_chain(rng, 64)
+        v0 = rng.normal(size=(64, 3))
+        if lam is None:
+            trace = run_plain_dynamics(v0, a, 400, record_states=record_states)
+            reference = reference_run(v0, a, 400)
+        else:
+            anchor = rng.normal(size=(64, 3))
+            trace = run_neutreno_dynamics(v0, anchor, a, lam, 400,
+                                          record_states=record_states)
+            reference = reference_run(v0, a, 400, lam, anchor)
+        assert_matches_reference(trace, reference, record_states)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_divergence_starts_inside_a_batch(self, record_states):
+        # 2**16 // 40**2 = 40 steps per batch; at lam = 3 the iterates grow
+        # past the overflow bound, then overflow to non-finite values
+        rng = np.random.default_rng(111)
+        a = random_chain(rng, 40)
+        anchor = rng.normal(size=(40, 3))
+        trace = run_neutreno_dynamics(anchor, anchor, a, 3.0, 1000,
+                                      record_states=record_states)
+        assert_matches_reference(trace, reference_run(anchor, a, 1000, 3.0, anchor),
+                                 record_states)
+        batch = linalg._BLOCK_ENTRIES // 40**2
+        first_diverged = next(rec.step for rec in trace if rec.diverged)
+        first_nan = next(rec.step for rec in trace if math.isnan(rec.j_value))
+        assert first_diverged < first_nan
+        assert first_diverged % batch and first_nan % batch
+        assert first_nan // batch > first_diverged // batch
+
+    def test_latch_carries_across_batches(self):
+        # only the initial state passes the bound; the averaged states fall
+        # back below it, and every later batch must keep the flag
+        rng = np.random.default_rng(114)
+        a = random_chain(rng, 64)
+        v0 = rng.normal(size=(64, 3))
+        v0[5, 1] = 50.0
+        trace = run_plain_dynamics(v0, a, 100, record_states=True, overflow_bound=40.0)
+        assert_matches_reference(trace, reference_run(v0, a, 100, overflow_bound=40.0), True)
+        assert np.abs(trace[1].state).max() < 40.0
+        assert all(rec.diverged for rec in trace)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_single_token(self, record_states):
+        rng = np.random.default_rng(112)
+        v0 = rng.normal(size=(1, 4))
+        trace = run_neutreno_dynamics(v0, 2 * v0, np.ones((1, 1)), 0.5, 30,
+                                      record_states=record_states)
+        assert_matches_reference(trace, reference_run(v0, np.ones((1, 1)), 30, 0.5, 2 * v0),
+                                 record_states)
+        assert all(math.isnan(rec.mean_cosine) for rec in trace)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_zero_row(self, record_states):
+        rng = np.random.default_rng(113)
+        a = random_chain(rng, 6)
+        v0 = rng.normal(size=(6, 2))
+        v0[3] = 0.0
+        trace = run_plain_dynamics(v0, a, 12, record_states=record_states)
+        assert_matches_reference(trace, reference_run(v0, a, 12), record_states)
+        assert math.isnan(trace[0].mean_cosine)
+        assert not math.isnan(trace[1].mean_cosine)
 
 
 class TestNeutrenoDynamics:

@@ -239,6 +239,21 @@ class TestPairwiseSqDistances:
         for unit in range(5):
             np.testing.assert_array_equal(stacked[unit], pairwise_sq_distances(x[unit]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_stack_on_either_side_of_the_feature_order(self, d, order):
+        # below 8 features the sum over D runs across pairs, from 8 on along
+        # each pair's last axis; both must give each unit's one-shot bits
+        x = np.random.default_rng(22).normal(scale=3.0, size=(6, 45, d)) + 1.0
+        x = np.asfortranarray(x) if order == "F" else x
+        with mock.patch.object(linalg, "_BLOCK_ENTRIES", 1000):
+            blocked = linalg._sq_distances(x)
+        stacked = linalg._sq_distances(x)
+        for unit in range(6):
+            ref = one_shot_sq_dists(x[unit])
+            np.testing.assert_array_equal(blocked[unit], ref)
+            np.testing.assert_array_equal(stacked[unit], ref)
+
     def test_block_budget_counts_units(self):
         # the (32, 128, 128) result is 4 MiB; a budget that ignored the 32
         # units would form 16-row blocks of 16 MiB, this one 1 MiB

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from neutreno import random_walk
 
 from neutreno.attention import attention_matrix
-from neutreno.linalg import max_pairwise_distance
+from neutreno.linalg import max_pairwise_distance, substream
 from neutreno.random_walk import (
     ConvergenceError,
     is_transition_matrix,
@@ -211,3 +216,101 @@ class TestSampleRandomWalk:
         a, _ = random_chain(rng, 3)
         with pytest.raises(ValueError):
             walk_sample_stats(np.zeros((3, 1)), a, 1, start=3, n_samples=1, seed=0)
+
+
+def compare_and_count_walk(v0, a, steps, start, uniforms):
+    """Reference: each step counts the cumulative thresholds of the
+    current row below the walk's draw, clipped to the last state, through
+    an (n_samples, N) gather; returns the mean and standard error."""
+    if steps == 0:
+        return v0[start], np.zeros(v0.shape[1])
+    cumulative = np.cumsum(a, axis=1)
+    states = np.full(len(uniforms), start)
+    for t in range(steps):
+        states = (cumulative[states] < uniforms[:, t : t + 1]).sum(axis=1)
+        states = np.minimum(states, a.shape[0] - 1)
+    payouts = v0[states]
+    stderr = (payouts.std(axis=0, ddof=1) / np.sqrt(len(uniforms)) if len(uniforms) > 1
+              else np.zeros(v0.shape[1]))
+    return payouts.mean(axis=0), stderr
+
+
+class FixedDraws:
+    """Stands in for ``substream``: hands out a given uniform block."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def __call__(self, seed, *key):
+        return self
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
+
+
+class TestWalkBisection:
+    """``walk_sample_stats`` finds each jump by bisection over a padded
+    row of thresholds; it must land every walk where counting them does."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+        steps=st.integers(0, 4),
+        scale=st.sampled_from([0.5, 3.0]),
+        short_rows=st.booleans(),
+        tied_draws=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_compare_and_count(self, n, steps, scale, short_rows, tied_draws,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(scale=scale, size=(n, 3))
+        a = transition_from_scores(keys, keys)
+        if short_rows:
+            # rows summing to about 1 - 1e-13: a draw above the sum counts
+            # every threshold and is clipped to the last state
+            a = a * (1.0 - 1e-13)
+        # one-hot payouts make the mean the histogram of the final states
+        v0 = np.hstack([np.eye(n), rng.normal(size=(n, 1))])
+        samples = 64
+        for start in range(n):
+            if tied_draws:
+                # draws equal to a threshold, one ulp either side of one, or
+                # above the rounded row sum
+                cumulative = np.cumsum(a, axis=1).ravel()
+                pool = np.concatenate([cumulative, np.nextafter(cumulative, 0.0),
+                                       np.nextafter(cumulative, 2.0),
+                                       [0.0, np.nextafter(1.0, 0.0)]])
+                draws = rng.choice(pool[pool < 1.0], size=(samples, steps))
+                with mock.patch.object(random_walk, "substream", FixedDraws(draws)):
+                    stats = walk_sample_stats(v0, a, steps, start, samples, seed)
+            else:
+                draws = substream(seed, start, steps).random((samples, steps))
+                stats = walk_sample_stats(v0, a, steps, start, samples, seed)
+            mean, stderr = compare_and_count_walk(v0, a, steps, start, draws)
+            assert (stats.mean == mean).all()
+            assert (stats.stderr == stderr).all()
+
+    def test_draw_above_row_sum_lands_on_last_state(self):
+        a = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
+        assert np.cumsum(a[0])[-1] < np.nextafter(1.0, 0.0)
+        v0 = np.array([[5.0], [-3.0]])
+        draws = np.full((3, 1), np.nextafter(1.0, 0.0))
+        with mock.patch.object(random_walk, "substream", FixedDraws(draws)):
+            stats = walk_sample_stats(v0, a, 1, 0, 3, seed=0)
+        np.testing.assert_array_equal(stats.mean, [-3.0])
+
+    def test_memory_does_not_scale_with_states(self):
+        # an (n_samples, N) gather of the thresholds would be 98 MiB here;
+        # the uniform block itself is 4.6 MiB
+        rng = np.random.default_rng(84)
+        a, _ = random_chain(rng, 64)
+        v0 = rng.normal(size=(64, 1))
+        tracemalloc.start()
+        try:
+            walk_sample_stats(v0, a, 3, 0, 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

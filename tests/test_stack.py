@@ -219,6 +219,21 @@ class TestForwardMatchesReference:
         assert not np.isfinite(trace.final.j_value)
         assert (len(trace) < layers + 1) == (layers == 300)
 
+    def test_fortran_ordered_input(self):
+        # record 0 holds a C-ordered copy of the input; from 8 features on,
+        # the order of the sum over D follows the memory layout, so its
+        # metrics must be computed on that copy
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(8, 40))
+            model = init_stack(make_config(layers=2, input_dim=d, value_dim=d))
+            x0 = np.asfortranarray(rng.normal(size=(n, d)))
+            _, trace = forward(model, x0, record_states=True)
+            q, k, _ = project_qkv(x0, model.projections[0])
+            record = trace[0]
+            assert record.j_value == nonlocal_energy(record.state, exp_score_kernel(q, k))
+            assert record.max_pairwise == max_pairwise_distance(record.state)
+
     @pytest.mark.parametrize("variant", stack.VARIANTS)
     def test_scores_computed_once_per_layer(self, variant):
         model = init_stack(make_config(layers=5, variant=variant, lambda_tilde=0.6))

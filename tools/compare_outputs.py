@@ -36,6 +36,12 @@ COMMANDS = {
     "dynamics-neutreno": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "0.6"],
     "dynamics-divergent": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "3",
                            "--steps", "400"],
+    # records batched over steps: many batches, divergence inside a batch,
+    # and the last-axis distance sum from 8 features on
+    "dynamics-wide": ["dynamics", "--n", "64", "--steps", "400"],
+    "dynamics-divergent-40": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "3",
+                              "--n", "40", "--steps", "400"],
+    "dynamics-dim8": ["dynamics", "--dim", "8"],
     "stack": ["stack"],
     "stack-symmetric": ["stack", "--variant", "symmetric", "--n-seeds", "5"],
     "ensemble-sweep": ENSEMBLE_SWEEP,
@@ -55,6 +61,9 @@ COMMANDS = {
                    "--value-dim", "5", "--n-seeds", "7", "--lambda-sweep", "0,0.3,3",
                    "--seed", "3"],
     "randomwalk": ["randomwalk"],
+    # walks by bisection over 64-wide and padded rows
+    "randomwalk-64": ["randomwalk", "--n", "64"],
+    "randomwalk-asymmetric": ["randomwalk", "--n", "37", "--kernel", "asymmetric"],
     "gradcheck": ["gradcheck"],
 }
 
