@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from . import diagnostics, dynamics, functional, random_walk, stack
 from .attention import exp_score_kernel, symmetric_attention
 from .config import ConfigError, merge_config, read_config_file
-from .linalg import mix_seed, substream
+from .linalg import _BLOCK_ENTRIES, mix_seed, substream
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __all__ = ["main", "entry"]
@@ -215,7 +218,7 @@ def _stack_models(cfg, variant: str) -> list:
     )) for unit in range(cfg["n_seeds"])]
 
 
-def _stack_traces(models, x0, lam: float) -> list:
+def _stack_traces(models, lam: float, x0) -> list:
     """Every unit's trace at anchor weight ``lam``, from one batched pass."""
     if models[0].config.variant == "neutreno":
         models = [replace(m, config=replace(m.config, lambda_tilde=lam)) for m in models]
@@ -246,18 +249,59 @@ def cmd_stack(args) -> int:
     # the sweep, and the compared models are reused at every lambda
     x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
                    for unit in range(cfg["n_seeds"])])
-    _, baseline_traces = stack.forward(_stack_models(cfg, "softmax"), x0)
+    # the baseline pass, then one pass per anchor weight
+    models = [_stack_models(cfg, "softmax")]
+    lams = [0.0]
+    if compare:
+        models += [_stack_models(cfg, cfg["variant"])] * len(sweep)
+        lams += sweep
+    with _stack_passes(models, lams, x0) as passes:
+        return _write_stack(cfg, out, sweep, compare, passes)
+
+
+@contextmanager
+def _stack_passes(models, lams, x0):
+    """An iterator over the traces of the passes ``_stack_traces(models[i],
+    lams[i], x0)``, in order.
+
+    The passes share no mutable state, so a pool of threads, one per
+    allowed CPU, runs them at once with the bits of a sequential run.
+    When a pass's score stack holds fewer than ``_BLOCK_ENTRIES`` entries,
+    its array operations are too short to release the GIL for long, and
+    the passes run one at a time on the calling thread instead.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(models), cpus)
+    run = partial(_stack_traces, x0=x0)
+    if workers < 2 or x0.shape[0] * x0.shape[1] ** 2 < _BLOCK_ENTRIES:
+        yield map(run, models, lams)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    try:
+        yield pool.map(run, models, lams)
+    finally:
+        # after a failed pass, the passes not yet started never run
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
+    """Write the baseline pass of ``passes``, then one summary per anchor
+    weight of ``sweep``, taking each compared pass as it arrives."""
+    baseline_traces = next(passes)
     for unit, trace in enumerate(baseline_traces):
         path = out / f"stack_softmax_seed{unit}.csv"
         _write_csv(path, ["layer", "mean_cosine", "j_value", "max_pairwise"],
                    _stack_csv_rows(trace))
-    models = _stack_models(cfg, cfg["variant"]) if compare else None
 
     failures = []
     for lam in sweep:
         per_seed = []
         wins = 0
-        traces = _stack_traces(models, x0, lam) if compare else None
+        traces = next(passes) if compare else None
         for unit in range(cfg["n_seeds"]):
             seed_record = {
                 "seed_index": unit,

@@ -95,17 +95,19 @@ def _finite_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
     ``x``, one array each; J is weighted by that unit's ``weights``."""
     # J and the diameter share one squared-distance matrix; the
     # expressions are those of nonlocal_energy, max_pairwise_distance and
-    # pairwise_cosine_mean
+    # pairwise_cosine_mean.  The diameter is taken first, so the weighted
+    # squares can overwrite the (C-ordered) matrix, which is then released
+    # before the cosine's Gram matrix is formed.
     sq = _sq_distances(x)
+    diameter = np.sqrt(sq.max(axis=(-2, -1)))
+    j = 0.5 * np.multiply(weights, sq, out=sq).sum(axis=(-2, -1))
+    del sq
     norms = np.linalg.norm(x, axis=-1)
     # the cosine is undefined with a zero row, whose NaN norm spreads to
     # its unit's mean, or with a single row, whose mean is 0 / 0
     if not norms.all():
         norms[norms == 0.0] = np.nan
-    return (0.5 * (weights * sq).sum(axis=(-2, -1)),
-            _cosine_means(x, norms),
-            np.sqrt(sq.max(axis=(-2, -1))),
-            np.abs(x).max(axis=(-2, -1)) > overflow_bound)
+    return j, _cosine_means(x, norms), diameter, np.abs(x).max(axis=(-2, -1)) > overflow_bound
 
 
 def _record_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):

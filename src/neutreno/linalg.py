@@ -57,9 +57,12 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     if not finite.all():
         bad_row = int(np.argwhere(~finite)[0, -2])
         raise ValueError(f"non-finite entry in row {bad_row} of scores")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # one score-sized array: the shift allocates it, exp and the division
+    # work in place with the same bits as their fresh forms
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def pairwise_cosine_mean(tokens) -> float:
@@ -135,6 +138,9 @@ def _sq_distances(x: np.ndarray) -> np.ndarray:
             block = np.multiply(diff, diff, out=diff).sum(axis=-1)
         out[..., start:stop, start:] = block
         out[..., start:, start:stop] = block.swapaxes(-1, -2)
+        # freed before the next block is formed, whose allocation can then
+        # reuse the memory instead of growing the heap and faulting in pages
+        del diff, block
         start = stop
     return out
 

@@ -163,18 +163,22 @@ def forward(model, x0, *, record_states: bool = False,
             unit, row = np.argwhere(~np.isfinite(scores))[0, :2].tolist()
             raise ValueError(
                 f"non-finite entry in row {row} of scores of unit {active[unit]}")
-        with np.errstate(over="ignore"):
-            # a diverging state saturates the kernel to inf; that is
-            # recorded as data, not raised
-            kernel = np.exp(scores)
         if index == 0:
-            _append_records(live, state, kernel, overflow_bound, record_states)
             first_layer_values = v
         anchor = (NeutrenoParams(cfg.lambda_tilde, first_layer_values)
                   if cfg.variant == "neutreno" else None)
         out = _attend(scores, v, anchor)
+        # the softmax has read the scores, so the kernel overwrites them
+        with np.errstate(over="ignore"):
+            # a diverging state saturates the kernel to inf; that is
+            # recorded as data, not raised
+            kernel = np.exp(scores, out=scores)
+        if index == 0:
+            _append_records(live, state, kernel, overflow_bound, record_states)
         state = out + state if cfg.residual else out
         _append_records(live, state, kernel, overflow_bound, record_states)
+        # release the kernel before the next layer forms its scores
+        del scores, kernel
         # a unit stops before its score products can overflow to
         # non-finite values
         stop = ~np.isfinite(state).all(axis=(-2, -1)) \

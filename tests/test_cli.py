@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -155,6 +156,75 @@ class TestStackCommand:
         assert "n_seeds" in capsys.readouterr().err
 
 
+# 256 tokens: each pass's score stack holds 2**16 entries per seed, enough
+# to run the passes in a pool of threads
+WIDE_SWEEP = ["stack", "--variant", "neutreno", "--n", "256", "--input-dim", "8",
+              "--key-dim", "8", "--value-dim", "8", "--layers", "3",
+              "--lambda-sweep", "0,0.3,3", "--n-seeds", "1"]
+WIDE_SYMMETRIC = ["stack", "--variant", "symmetric", "--n", "256", "--input-dim", "8",
+                  "--key-dim", "8", "--value-dim", "8", "--layers", "3", "--n-seeds", "2"]
+
+
+def run_on_cpus(cpus, argv, out, capsys):
+    """Exit status, stdout (output directory replaced), stderr and files of
+    one ``stack`` run with ``cpus`` allowed, and the thread of each pass."""
+    forward = stack.forward
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return forward(*args, **kwargs)
+
+    with mock.patch("os.sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(stack, "forward", spy):
+        code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return code, captured.out.replace(str(out), "<out>"), captured.err, files, threads
+
+
+class TestConcurrentPasses:
+    """The baseline pass and the per-lambda passes run on a pool of
+    threads, one per allowed CPU, and write the bytes of a sequential run."""
+
+    @pytest.mark.parametrize("argv", [WIDE_SWEEP, WIDE_SYMMETRIC])
+    def test_pool_writes_the_sequential_bytes(self, tmp_path, capsys, argv):
+        *alone, threads_alone = run_on_cpus({0}, argv, tmp_path / "one", capsys)
+        *pooled, threads_pooled = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
+        assert alone[0] == 0
+        assert pooled == alone
+        assert threads_alone == [threading.current_thread()] * len(threads_alone)
+        assert threading.current_thread() not in threads_pooled
+        assert len(threads_pooled) == len(threads_alone) == (4 if argv is WIDE_SWEEP else 2)
+
+    def test_small_passes_stay_on_the_calling_thread(self, tmp_path, capsys):
+        # 3 seeds of 16 tokens hold 768 score entries per pass
+        code, *_, threads = run_on_cpus(
+            {0, 1}, ["stack", "--variant", "neutreno", "--n-seeds", "3",
+                     "--lambda-sweep", "0.2,0.6"], tmp_path / "s", capsys)
+        assert code == 0
+        assert threads == [threading.current_thread()] * 3
+
+    @pytest.mark.parametrize("argv, error, files", [
+        # the baseline and the first anchored pass both overflow
+        (["--n", "256", "--layers", "300", "--residual", "--init-scale", "1e5",
+          "--lambda-sweep", "0.2,0.6", "--n-seeds", "2"],
+         "non-finite entry in row 0 of scores of unit 0", 0),
+        # the passes at -1 and -2 both fail, after the one at 0.2 is written
+        (["--n", "256", "--layers", "2", "--lambda-sweep", "0.2,-1,-2", "--n-seeds", "1"],
+         "lambda_tilde must be nonnegative, got -1.0", 3),
+    ])
+    def test_first_failing_pass_is_reported(self, tmp_path, capsys, argv, error, files):
+        argv = ["stack", "--variant", "neutreno", *argv]
+        *alone, _ = run_on_cpus({0}, argv, tmp_path / "one", capsys)
+        *pooled, threads = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
+        assert alone[0] == 2
+        assert alone[2] == f"error: {error}\n"
+        assert len(alone[3]) == files
+        assert pooled == alone
+        assert threading.current_thread() not in threads
+
+
 class TestRandomwalkCommand:
     def test_generated_chain_passes_checks(self, tmp_path):
         out = tmp_path / "run"
@@ -275,6 +345,16 @@ def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, neutreno.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # concurrent.futures is imported only when a stack command uses the pool
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, neutreno.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"

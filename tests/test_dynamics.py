@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neutreno import linalg
 from neutreno.dynamics import (
     DEFAULT_OVERFLOW_BOUND,
+    _finite_metrics,
     fixed_point_separation,
     neutreno_fixed_point,
     run_neutreno_dynamics,
@@ -114,6 +116,36 @@ class TestTraceMetrics:
             a = random_chain(rng, n)
             v0 = np.asfortranarray(rng.normal(size=(n, d)))
             self.check(run_plain_dynamics(v0, a, 3, record_states=True), a)
+
+
+class TestFiniteMetrics:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        units=st.integers(1, 4),
+        n=st.integers(1, 40),
+        d=st.integers(1, 12),
+        weights=st.sampled_from(["C", "F", "broadcast C", "broadcast F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_energy_keeps_the_bits(self, units, n, d, weights, seed):
+        # J overwrites the squared distances with the weighted squares after
+        # the diameter is taken; the bits are those of the fresh product, for
+        # a stack of kernels and for one chain broadcast over steps
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=3.0, size=(units, n, d))
+        if weights.startswith("broadcast"):
+            a = rng.uniform(size=(n, n))
+            w = np.broadcast_to(np.asfortranarray(a) if weights.endswith("F") else a,
+                                (units, n, n))
+        else:
+            w = rng.uniform(size=(units, n, n))
+            w = np.asfortranarray(w) if weights == "F" else w
+        # a single row's cosine is 0 / 0
+        with np.errstate(invalid="ignore"):
+            j, _, diameter, _ = _finite_metrics(x, w, DEFAULT_OVERFLOW_BOUND)
+        sq = linalg._sq_distances(x)
+        assert (j == 0.5 * (w * sq).sum(axis=(-2, -1))).all()
+        assert (diameter == np.sqrt(sq.max(axis=(-2, -1)))).all()
 
 
 def reference_run(v0, a, steps, lam=0.0, anchor=None,

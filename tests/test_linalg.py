@@ -55,6 +55,28 @@ class TestRowSoftmax:
         with pytest.raises(ValueError, match="row 1"):
             row_softmax([[0.0, 1.0], [np.nan, 0.0]])
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        n=st.integers(1, 40),
+        scale=st.floats(1e-3, 50.0),
+        order=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_forms_keep_the_bits(self, lead, n, scale, order, seed):
+        # the shift allocates the one result array, and exp and the division
+        # then work in place: the same bits as the fresh forms, on a stack
+        # of units of any layout, and the scores are left as they were
+        rng = np.random.default_rng(seed)
+        s = layout(rng.normal(scale=scale, size=(*lead, n, n)), order)
+        before = s.copy()
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        got = linalg._softmax(s)
+        assert got.shape == expected.shape
+        assert (got == expected).all()
+        assert (s == before).all()
+
 
 class TestPairwiseCosineMean:
     def test_identical_rows(self):
@@ -127,14 +149,15 @@ def one_shot_sq_dists(x):
 
 
 def layout(x, order):
-    """The same values as ``x`` in C order, F order or as a strided view."""
+    """The same values as ``x`` in C order, F order or as a view strided
+    along its last two axes."""
     if order == "C":
         return np.ascontiguousarray(x)
     if order == "F":
         return np.asfortranarray(x)
-    big = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
-    big[::2, ::3] = x
-    return big[::2, ::3]
+    big = np.zeros((*x.shape[:-2], 2 * x.shape[-2], 3 * x.shape[-1]))
+    big[..., ::2, ::3] = x
+    return big[..., ::2, ::3]
 
 
 def assert_metrics_match_reference(x, w):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -362,6 +363,25 @@ class TestBatchedForward:
     def test_rejects_empty_model_list(self):
         with pytest.raises(ValueError):
             forward([], np.zeros((0, 4, 6)))
+
+
+@pytest.mark.parametrize("n, d, arrays", [(512, 64, 4), (1024, 8, 3)])
+def test_forward_holds_few_score_sized_arrays(n, d, arrays):
+    # the kernel overwrites the scores, the softmax and the energy allocate
+    # one score-sized array each, and a layer's kernel is released before
+    # the next layer's scores are formed.  At 1024 x 8 the distance blocks
+    # and projections are small next to an 8 MiB score matrix, so one more
+    # live score-sized array anywhere in the pass breaks the bound.
+    model = init_stack(StackConfig(layers=2, input_dim=d, key_dim=d, value_dim=d,
+                                   variant="neutreno", lambda_tilde=0.6, seed=3))
+    x0 = np.random.default_rng(41).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        forward(model, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * n * n * 8
 
 
 class TestSmoothingTendency:

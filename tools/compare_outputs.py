@@ -60,6 +60,15 @@ COMMANDS = {
     "odd-shapes": ["stack", "--n", "37", "--input-dim", "5", "--key-dim", "3",
                    "--value-dim", "5", "--n-seeds", "7", "--lambda-sweep", "0,0.3,3",
                    "--seed", "3"],
+    # passes large enough to run on a pool of threads, one per allowed CPU
+    "wide-sweep": ["stack", "--variant", "neutreno", "--n", "256", "--input-dim", "8",
+                   "--key-dim", "8", "--value-dim", "8", "--layers", "3",
+                   "--lambda-sweep", "0,0.3,3"],
+    "wide-symmetric-sweep": ["stack", "--variant", "symmetric", "--n", "300", "--n-seeds", "2",
+                             "--lambda-sweep", "0.2,0.6"],
+    "wide-deep-residual": ["stack", "--variant", "neutreno", "--n", "256", "--layers", "60",
+                           "--residual", "--init-scale", "5", "--n-seeds", "2",
+                           "--lambda-sweep", "0.2,0.6"],
     "randomwalk": ["randomwalk"],
     # walks by bisection over 64-wide and padded rows
     "randomwalk-64": ["randomwalk", "--n", "64"],
