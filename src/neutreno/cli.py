@@ -48,11 +48,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_bytes(header: list[str], rows) -> bytes:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.write_bytes(_csv_bytes(header, rows))
 
 
 def _jsonify(obj):
@@ -70,9 +74,25 @@ def _jsonify(obj):
     return obj
 
 
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True)
-    path.write_text(text + "\n", encoding="utf-8", newline="\n")
+    path.write_bytes(_json_bytes(payload))
+
+
+def _write_files(files) -> None:
+    """Write each ``(path, bytes)`` of ``files`` in order, stopping at the
+    first failure: one plain create, write and close per file."""
+    for path, data in files:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # a write may take only part of the buffer
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
 
 def _warn_lambda(lam: float) -> None:
@@ -255,8 +275,17 @@ def cmd_stack(args) -> int:
     if compare:
         models += [_stack_models(cfg, cfg["variant"])] * len(sweep)
         lams += sweep
-    with _stack_passes(models, lams, x0) as passes:
-        return _write_stack(cfg, out, sweep, compare, passes)
+    with _stack_passes(models, lams, x0) as passes, _file_writer() as write:
+        failures = _write_stack(cfg, out, sweep, compare, passes, write)
+    return _finish(failures)
+
+
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @contextmanager
@@ -270,11 +299,7 @@ def _stack_passes(models, lams, x0):
     its array operations are too short to release the GIL for long, and
     the passes run one at a time on the calling thread instead.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(len(models), cpus)
+    workers = min(len(models), _allowed_cpus())
     run = partial(_stack_traces, x0=x0)
     if workers < 2 or x0.shape[0] * x0.shape[1] ** 2 < _BLOCK_ENTRIES:
         yield map(run, models, lams)
@@ -288,18 +313,83 @@ def _stack_passes(models, lams, x0):
         pool.shutdown(cancel_futures=True)
 
 
-def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
+def _write_and_print(files, line=None) -> None:
+    _write_files(files)
+    if line is not None:
+        print(line)
+
+
+@contextmanager
+def _file_writer():
+    """A function ``write(files, line=None)`` with the effect of
+    ``_write_and_print``: write the ``(path, bytes)`` pairs of ``files`` in
+    order, then print ``line``.
+
+    With two or more allowed CPUs, one background thread writes the files,
+    in submission order, while the calling thread goes on.  Each line is
+    printed on the calling thread once its files and every earlier file
+    are written: at a later call, or at the latest when the context
+    exits, after every file is closed and the thread has ended.  After a
+    failed write the thread writes nothing more, and its error is raised
+    on the calling thread; it takes the place of any exception raised
+    after the failed files were handed over.  So the files, the output
+    and the error are those of a sequential run.
+    """
+    if _allowed_cpus() < 2:
+        yield _write_and_print
+        return
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1)
+    pending = []  # (future, line) in submission order
+    failed = threading.Event()
+
+    def write_batch(files):
+        if failed.is_set():
+            return
+        try:
+            _write_files(files)
+        except BaseException:
+            failed.set()
+            raise
+
+    def drain(block: bool) -> None:
+        while pending and (block or pending[0][0].done()):
+            future, line = pending.pop(0)
+            try:
+                future.result()
+            except BaseException:
+                pending.clear()  # the batches after it were skipped
+                raise
+            if line is not None:
+                print(line)
+
+    def write(files, line=None):
+        pending.append((pool.submit(write_batch, files), line))
+        drain(block=False)
+
+    try:
+        yield write
+    finally:
+        try:
+            drain(block=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[str]:
     """Write the baseline pass of ``passes``, then one summary per anchor
-    weight of ``sweep``, taking each compared pass as it arrives."""
+    weight of ``sweep``, taking each compared pass as it arrives, through
+    ``write`` (see ``_file_writer``); return the failed checks."""
+    header = ["layer", "mean_cosine", "j_value", "max_pairwise"]
     baseline_traces = next(passes)
-    for unit, trace in enumerate(baseline_traces):
-        path = out / f"stack_softmax_seed{unit}.csv"
-        _write_csv(path, ["layer", "mean_cosine", "j_value", "max_pairwise"],
-                   _stack_csv_rows(trace))
+    write([(out / f"stack_softmax_seed{unit}.csv", _csv_bytes(header, _stack_csv_rows(trace)))
+           for unit, trace in enumerate(baseline_traces)])
 
     failures = []
     for lam in sweep:
         per_seed = []
+        csvs = []
         wins = 0
         traces = next(passes) if compare else None
         for unit in range(cfg["n_seeds"]):
@@ -313,8 +403,7 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
                 trace = traces[unit]
                 tag = f"lambda{lam:g}_" if len(sweep) > 1 else ""
                 path = out / f"stack_{cfg['variant']}_{tag}seed{unit}.csv"
-                _write_csv(path, ["layer", "mean_cosine", "j_value", "max_pairwise"],
-                           _stack_csv_rows(trace))
+                csvs.append((path, _csv_bytes(header, _stack_csv_rows(trace))))
                 seed_record.update({
                     "final_mean_cosine": trace.final.mean_cosine,
                     "final_j_value": trace.final.j_value,
@@ -323,6 +412,8 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
                 if trace.final.mean_cosine < baseline_traces[unit].final.mean_cosine:
                     wins += 1
             per_seed.append(seed_record)
+        if compare:
+            write(csvs)
 
         echo_keys = set(STACK_SCHEMA) - {"lambda_sweep", "lambda_tilde", "expect_separation"}
         summary = {
@@ -333,8 +424,7 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
             "fraction_below_baseline": (wins / cfg["n_seeds"]) if compare else None,
         }
         name = f"summary_lambda{lam:g}.json" if len(sweep) > 1 else "summary.json"
-        _write_json(out / name, summary)
-        print(f"wrote {out / name}")
+        write([(out / name, _json_bytes(summary))], f"wrote {out / name}")
         if compare and cfg["expect_separation"] >= 0:
             frac = wins / cfg["n_seeds"]
             if frac < cfg["expect_separation"]:
@@ -342,7 +432,7 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> int:
                     f"separation fraction {frac:.3f} below expected "
                     f"{cfg['expect_separation']:.3f} at lambda_tilde={lam:g}"
                 )
-    return _finish(failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +475,11 @@ def cmd_randomwalk(args) -> int:
     if not 0 <= cfg["start"] < n:
         raise ConfigError(f"start index {cfg['start']} out of range for {n} states")
 
+    try:
+        pi_power = random_walk.stationary_power_iteration(transition, tol=1e-12)
+    except random_walk.ConvergenceError as exc:
+        return _finish([str(exc)])
     failures = []
-    pi_power = random_walk.stationary_power_iteration(transition, tol=1e-12)
     residual_power = float(np.abs(pi_power @ transition - pi_power).sum())
 
     stationary = {

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from neutreno import stack
+from neutreno import cli, stack
 from neutreno.cli import main
 from neutreno.tensorfile import save_tensor
 
@@ -165,22 +167,50 @@ WIDE_SYMMETRIC = ["stack", "--variant", "symmetric", "--n", "256", "--input-dim"
                   "--key-dim", "8", "--value-dim", "8", "--layers", "3", "--n-seeds", "2"]
 
 
-def run_on_cpus(cpus, argv, out, capsys):
-    """Exit status, stdout (output directory replaced), stderr and files of
-    one ``stack`` run with ``cpus`` allowed, and the thread of each pass."""
-    forward = stack.forward
-    threads = []
+def run_on_cpus(cpus, argv, out, capsys, write_delay=0.0, pass_delay=0.0):
+    """One ``stack`` run with ``cpus`` allowed (``None``: the affinity call
+    is left alone).
 
-    def spy(*args, **kwargs):
-        threads.append(threading.current_thread())
+    Returns its exit status, stdout and stderr (output directory
+    replaced) and files (``None`` for a directory), then the thread of
+    each pass, the thread of each written batch of files, and the names
+    under ``out`` as each line was printed.  Each batch waits ``write_delay``
+    seconds before it is written and each pass ``pass_delay`` seconds
+    before it runs, so that a background writer falls behind the passes
+    or runs ahead of them.  The run must leave no thread behind.
+    """
+    forward, write_files, real_print = stack.forward, cli._write_files, print
+    passes, writes, printed = [], [], []
+
+    def forward_spy(*args, **kwargs):
+        passes.append(threading.current_thread())
+        time.sleep(pass_delay)
         return forward(*args, **kwargs)
 
-    with mock.patch("os.sched_getaffinity", return_value=set(cpus)), \
-            mock.patch.object(stack, "forward", spy):
+    def write_spy(files):
+        writes.append(threading.current_thread())
+        time.sleep(write_delay)
+        write_files(files)
+
+    def print_spy(*args, **kwargs):
+        printed.append({p.name for p in out.iterdir()})
+        real_print(*args, **kwargs)
+
+    threads = threading.active_count()
+    with contextlib.ExitStack() as patches:
+        if cpus is not None:
+            patches.enter_context(mock.patch("os.sched_getaffinity", return_value=set(cpus)))
+        patches.enter_context(mock.patch.object(stack, "forward", forward_spy))
+        patches.enter_context(mock.patch.object(cli, "_write_files", write_spy))
+        patches.enter_context(mock.patch.object(cli, "print", print_spy, create=True))
         code = main(argv + ["--out", str(out)])
+    assert threading.active_count() == threads
     captured = capsys.readouterr()
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return code, captured.out.replace(str(out), "<out>"), captured.err, files, threads
+    files = {p.name: None if p.is_dir() else p.read_bytes()
+             for p in sorted(out.iterdir())} if out.is_dir() else {}
+    run = (code, captured.out.replace(str(out), "<out>"),
+           captured.err.replace(str(out), "<out>"), files)
+    return run, passes, writes, printed
 
 
 class TestConcurrentPasses:
@@ -189,8 +219,8 @@ class TestConcurrentPasses:
 
     @pytest.mark.parametrize("argv", [WIDE_SWEEP, WIDE_SYMMETRIC])
     def test_pool_writes_the_sequential_bytes(self, tmp_path, capsys, argv):
-        *alone, threads_alone = run_on_cpus({0}, argv, tmp_path / "one", capsys)
-        *pooled, threads_pooled = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
+        alone, threads_alone, *_ = run_on_cpus({0}, argv, tmp_path / "one", capsys)
+        pooled, threads_pooled, *_ = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
         assert alone[0] == 0
         assert pooled == alone
         assert threads_alone == [threading.current_thread()] * len(threads_alone)
@@ -199,7 +229,7 @@ class TestConcurrentPasses:
 
     def test_small_passes_stay_on_the_calling_thread(self, tmp_path, capsys):
         # 3 seeds of 16 tokens hold 768 score entries per pass
-        code, *_, threads = run_on_cpus(
+        (code, *_), threads, *_ = run_on_cpus(
             {0, 1}, ["stack", "--variant", "neutreno", "--n-seeds", "3",
                      "--lambda-sweep", "0.2,0.6"], tmp_path / "s", capsys)
         assert code == 0
@@ -216,13 +246,106 @@ class TestConcurrentPasses:
     ])
     def test_first_failing_pass_is_reported(self, tmp_path, capsys, argv, error, files):
         argv = ["stack", "--variant", "neutreno", *argv]
-        *alone, _ = run_on_cpus({0}, argv, tmp_path / "one", capsys)
-        *pooled, threads = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
+        alone, *_ = run_on_cpus({0}, argv, tmp_path / "one", capsys)
+        pooled, threads, *_ = run_on_cpus({0, 1}, argv, tmp_path / "two", capsys)
         assert alone[0] == 2
         assert alone[2] == f"error: {error}\n"
         assert len(alone[3]) == files
         assert pooled == alone
         assert threading.current_thread() not in threads
+
+
+ENSEMBLE_SIZED = ["stack", "--variant", "neutreno", "--n-seeds", "3",
+                  "--lambda-sweep", "0.2,0.6"]
+
+
+class TestBackgroundWriter:
+    """With two or more allowed CPUs, one background thread writes a stack
+    command's files while its passes go on; files, output, errors and exit
+    status are those of a sequential run."""
+
+    def both_ways(self, tmp_path, capsys, argv, setup=lambda out: None, delays=(0.02, 0.0)):
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            out = tmp_path / f"cpus{len(cpus)}"
+            out.mkdir()
+            setup(out)
+            runs.append(run_on_cpus(cpus, argv, out, capsys, *delays))
+        (alone, _, writes_alone, printed_alone), (written, _, writes, printed) = runs
+        assert written == alone
+        assert writes_alone == [threading.current_thread()] * len(writes_alone)
+        assert writes and threading.current_thread() not in writes
+        # each line is printed once every file before it is on disk
+        assert len(printed) == len(printed_alone)
+        for names_alone, names in zip(printed_alone, printed):
+            assert names_alone <= names
+        return alone
+
+    def test_sweep_writes_the_sequential_bytes(self, tmp_path, capsys):
+        code, stdout, stderr, files = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED)
+        assert code == 0
+        assert stdout == "wrote <out>/summary_lambda0.2.json\nwrote <out>/summary_lambda0.6.json\n"
+        assert stderr == ""
+        assert len(files) == 3 + 2 * 4
+
+    def test_failed_separation_check(self, tmp_path, capsys):
+        code, stdout, stderr, _ = self.both_ways(
+            tmp_path, capsys, ENSEMBLE_SIZED + ["--expect-separation", "1.01"])
+        assert code == 1
+        assert stdout.count("wrote") == 2
+        assert json.loads(stderr)["failed_checks"][0].startswith("separation fraction")
+
+    # the writer falls behind the passes, or fails before the next batch
+    @pytest.mark.parametrize("delays", [(0.02, 0.0), (0.0, 0.05)],
+                             ids=["writer-behind", "writer-ahead"])
+    @pytest.mark.parametrize("lam, stdout, files", [
+        # the baseline, then one file
+        ("0.2", "", 3 + 1),
+        # the baseline, the first lambda and its summary, then one file
+        ("0.6", "wrote <out>/summary_lambda0.2.json\n", 3 + 4 + 1),
+    ], ids=["first-lambda", "second-lambda"])
+    def test_failed_write_stops_the_writes(self, tmp_path, capsys, delays, lam, stdout, files):
+        blocker = f"stack_neutreno_lambda{lam}_seed1.csv"
+        run = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED,
+                             lambda out: (out / blocker).mkdir(), delays)
+        assert run[:3] == (2, stdout, f"error: [Errno 21] Is a directory: '<out>/{blocker}'\n")
+        assert run[3][blocker] is None
+        assert len(run[3]) == files + 1
+
+    def test_failed_write_wins_over_a_later_failing_pass(self, tmp_path, capsys):
+        blocker = "stack_neutreno_lambda0.2_seed1.csv"
+        code, stdout, stderr, files = self.both_ways(
+            tmp_path, capsys, ["stack", "--variant", "neutreno", "--n-seeds", "3",
+                               "--lambda-sweep", "0.2,-1"],
+            lambda out: (out / blocker).mkdir())
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: [Errno 21] Is a directory: '<out>/{blocker}'\n"
+        assert len(files) == 3 + 1 + 1
+
+    def test_failing_pass_after_written_files(self, tmp_path, capsys):
+        code, stdout, stderr, files = self.both_ways(
+            tmp_path, capsys, ["stack", "--variant", "neutreno", "--n-seeds", "3",
+                               "--lambda-sweep", "0.2,-1,-2"])
+        assert code == 2
+        assert stdout == "wrote <out>/summary_lambda0.2.json\n"
+        assert stderr == "error: lambda_tilde must be nonnegative, got -1.0\n"
+        assert len(files) == 3 + 4
+
+
+class TestAllowedCpus:
+    """Without an affinity call, the CPU count decides on the pool and
+    the writer."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_falls_back_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, count):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._allowed_cpus() == count
+        (code, *_), passes, writes, _ = run_on_cpus(None, WIDE_SWEEP, tmp_path / "w", capsys)
+        assert code == 0
+        on_caller = [t is threading.current_thread() for t in passes + writes]
+        assert all(on_caller) if count == 1 else not any(on_caller)
 
 
 class TestRandomwalkCommand:
@@ -274,6 +397,21 @@ class TestRandomwalkCommand:
         assert main(["randomwalk", "--transition", str(matrix),
                      "--out", str(tmp_path / "x")]) == 2
         assert "row-stochastic" in capsys.readouterr().err
+
+    def test_unconverged_power_iteration_is_a_failed_check(self, tmp_path, capsys):
+        # a nearly periodic two-state chain: the power iteration's residual
+        # stalls near 7e-7
+        matrix = tmp_path / "periodic.ntt"
+        save_tensor(matrix, np.array([[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]]))
+        out = tmp_path / "run"
+        assert main(["randomwalk", "--transition", str(matrix), "--out", str(out),
+                     "--n-samples", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [reason] = json.loads(captured.err)["failed_checks"]
+        assert reason.startswith("power iteration residual ")
+        assert reason.endswith(" after 100000 iterations")
+        assert not (out / "randomwalk.json").exists()
 
     def test_byte_reproducible(self, tmp_path):
         args = ["randomwalk", "--seed", "8", "--n-samples", "4000"]

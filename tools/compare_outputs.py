@@ -4,8 +4,8 @@ Runs a fixed list of ``neutreno`` commands and the four demo scripts,
 once from the checkout that holds this script and once from ``--parent``
 (another checkout, for example of the parent commit).  Each run is a
 subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread.  The exit
-status, every file under ``--out`` and stdout (with the output directory
-replaced by ``<out>``) are compared byte for byte.
+status, every file under ``--out``, stdout and stderr (both with the
+output directory replaced by ``<out>``) are compared byte for byte.
 
     python tools/compare_outputs.py --parent ../neutreno-parent
 
@@ -69,6 +69,15 @@ COMMANDS = {
     "wide-deep-residual": ["stack", "--variant", "neutreno", "--n", "256", "--layers", "60",
                            "--residual", "--init-scale", "5", "--n-seeds", "2",
                            "--lambda-sweep", "0.2,0.6"],
+    # error paths: a failed check (exit 1), then failing passes (exit 2)
+    "failed-separation": [*ENSEMBLE_SWEEP, "--expect-separation", "1.01"],
+    "overflowing-wide-sweep": ["stack", "--variant", "neutreno", "--n", "256", "--layers", "300",
+                               "--residual", "--init-scale", "1e5", "--n-seeds", "2",
+                               "--lambda-sweep", "0.2,0.6"],
+    "negative-lambda-sweep": ["stack", "--variant", "neutreno", "--n-seeds", "3",
+                              "--lambda-sweep", "0.2,-1,-2"],
+    "negative-lambda-wide-sweep": ["stack", "--variant", "neutreno", "--n", "256", "--layers", "2",
+                                   "--n-seeds", "1", "--lambda-sweep", "0.2,-1,-2"],
     "randomwalk": ["randomwalk"],
     # walks by bisection over 64-wide and padded rows
     "randomwalk-64": ["randomwalk", "--n", "64"],
@@ -80,24 +89,27 @@ DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
          "oversmoothing_random_walk.py", "smoothing_is_attention.py")
 
 
-def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes]:
+def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.returncode, proc.stdout
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
-def outputs(tree: Path, name: str, work: Path) -> tuple[int, bytes, dict[str, bytes]]:
-    """Exit status, normalised stdout and ``--out`` files of one run."""
+def outputs(tree: Path, name: str,
+            work: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Exit status, normalised stdout and stderr, and ``--out`` files of
+    one run."""
     if name in COMMANDS:
         out = work / "out"
-        status, stdout = run(tree, ["-m", "neutreno", *COMMANDS[name], "--out", str(out)],
-                             work)
+        status, stdout, stderr = run(
+            tree, ["-m", "neutreno", *COMMANDS[name], "--out", str(out)], work)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-        return status, stdout.replace(str(out).encode(), b"<out>"), files
-    status, stdout = run(tree, [str(tree / "demos" / name)], work)
-    return status, stdout, {}
+        where = str(out).encode()
+        return status, stdout.replace(where, b"<out>"), stderr.replace(where, b"<out>"), files
+    status, stdout, stderr = run(tree, [str(tree / "demos" / name)], work)
+    return status, stdout, stderr, {}
 
 
 def first_difference(label: str, a: bytes, b: bytes) -> str:
@@ -110,12 +122,14 @@ def first_difference(label: str, a: bytes, b: bytes) -> str:
 
 def compare(parent: Path, change: Path, name: str) -> str | None:
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        status_a, stdout_a, files_a = outputs(parent, name, Path(a))
-        status_b, stdout_b, files_b = outputs(change, name, Path(b))
+        status_a, stdout_a, stderr_a, files_a = outputs(parent, name, Path(a))
+        status_b, stdout_b, stderr_b, files_b = outputs(change, name, Path(b))
     if status_a != status_b:
         return f"exit status {status_a} in parent, {status_b} in change"
     if stdout_a != stdout_b:
         return first_difference("stdout", stdout_a, stdout_b)
+    if stderr_a != stderr_b:
+        return first_difference("stderr", stderr_a, stderr_b)
     if files_a.keys() != files_b.keys():
         return (f"files only in parent: {sorted(files_a.keys() - files_b.keys())}, "
                 f"only in change: {sorted(files_b.keys() - files_a.keys())}")
