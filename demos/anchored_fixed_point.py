@@ -15,6 +15,7 @@ margin vanish as the anchoring turns off.
 import numpy as np
 
 from neutreno import (
+    attention_matrix,
     fixed_point_separation,
     limit_vector,
     max_pairwise_distance,
@@ -22,14 +23,13 @@ from neutreno import (
     run_neutreno_dynamics,
     run_plain_dynamics,
     stationary_power_iteration,
-    transition_from_scores,
 )
 
 rng = np.random.default_rng(99)
 
 N = 6
 keys = rng.normal(scale=0.5, size=(N, 3))
-transition = transition_from_scores(keys, keys)
+transition = attention_matrix(keys, keys)
 anchor = rng.normal(size=(N, 2))
 
 print("=== plain vs anchored, 200 steps from the same start ===")

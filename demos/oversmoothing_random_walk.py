@@ -13,6 +13,7 @@ distribution (closed form vs power iteration), and the collapse itself.
 import numpy as np
 
 from neutreno import (
+    attention_matrix,
     iterate_state,
     limit_vector,
     max_pairwise_distance,
@@ -20,7 +21,6 @@ from neutreno import (
     run_plain_dynamics,
     stationary_closed_form,
     stationary_power_iteration,
-    transition_from_scores,
     walk_sample_stats,
 )
 
@@ -29,7 +29,7 @@ rng = np.random.default_rng(2024)
 N, D_QK, D = 6, 3, 4
 keys = rng.normal(scale=0.5, size=(N, D_QK))
 values = rng.normal(size=(N, D))
-transition = transition_from_scores(keys, keys)
+transition = attention_matrix(keys, keys)
 
 print("transition matrix (rows sum to 1, all entries positive):")
 print(np.array_str(transition, precision=4, suppress_small=True))

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dynamics, functional, random_walk, stack
-from .attention import exp_score_kernel, symmetric_attention
-from .config import ConfigError, merge_config, read_config_file
+from .attention import attention_matrix, exp_score_kernel, symmetric_attention
+from .config import ConfigError, coerce, merge_config, read_config_file
 from .linalg import _BLOCK_ENTRIES, mix_seed, substream
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
@@ -55,10 +55,6 @@ def _csv_bytes(header: list[str], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.write_bytes(_csv_bytes(header, rows))
-
-
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
@@ -76,10 +72,6 @@ def _jsonify(obj):
 
 def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_bytes(_json_bytes(payload))
 
 
 def _write_files(files) -> None:
@@ -163,23 +155,28 @@ GRADCHECK_SCHEMA = {
 }
 
 
-def _resolve(schema: dict, args: argparse.Namespace, flag_keys: list[str]) -> dict:
+def _resolve(schema: dict, args: argparse.Namespace) -> dict:
     file_values = read_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key, None) for key in flag_keys}
-    return merge_config(schema, file_values, overrides)
+    return merge_config(schema, file_values, {key: getattr(args, key) for key in schema})
+
+
+def _require_positive(cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
 
 
 # ---------------------------------------------------------------------------
 # dynamics
 
 
-def cmd_dynamics(args) -> int:
-    cfg = _resolve(DYNAMICS_SCHEMA, args, list(DYNAMICS_SCHEMA))
+def cmd_dynamics(cfg, out: Path) -> list[str]:
     if cfg["variant"] not in ("softmax", "neutreno"):
         raise ConfigError(
             f"dynamics variant must be softmax or neutreno, got {cfg['variant']!r}"
         )
-    out = Path(args.out)
+    if not cfg["tokens_path"]:
+        _require_positive(cfg, "n", "dim")
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg["tokens_path"]:
@@ -191,7 +188,7 @@ def cmd_dynamics(args) -> int:
         n = cfg["n"]
         v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
     keys = substream(cfg["seed"], 0).normal(scale=KEY_SCALE, size=(n, cfg["key_dim"]))
-    transition = random_walk.transition_from_scores(keys, keys)
+    transition = attention_matrix(keys, keys)
 
     if cfg["variant"] == "neutreno":
         _warn_lambda(cfg["lambda_tilde"])
@@ -209,15 +206,12 @@ def cmd_dynamics(args) -> int:
          float(rec.max_pairwise), int(rec.diverged)]
         for rec in trace
     ]
-    csv_path = out / "dynamics.csv"
-    _write_csv(csv_path, ["step", "mean_cosine", "j_value", "max_pairwise", "diverged"], rows)
-
-    failures = []
+    path = out / "dynamics.csv"
+    header = ["step", "mean_cosine", "j_value", "max_pairwise", "diverged"]
+    _write_and_print([(path, _csv_bytes(header, rows))], f"wrote {path} ({len(rows)} rows)")
     if trace.diverged:
-        first = next(rec.step for rec in trace if rec.diverged)
-        failures.append(f"dynamics diverged at step {first}")
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return _finish(failures)
+        return [f"dynamics diverged at step {next(rec.step for rec in trace if rec.diverged)}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +246,10 @@ def _stack_csv_rows(trace):
     ]
 
 
-def cmd_stack(args) -> int:
-    cfg = _resolve(STACK_SCHEMA, args, list(STACK_SCHEMA))
+def cmd_stack(cfg, out: Path) -> list[str]:
     if cfg["variant"] not in stack.VARIANTS:
         raise ConfigError(f"unknown stack variant {cfg['variant']!r}")
-    if cfg["n_seeds"] < 1:
-        raise ConfigError(f"n_seeds must be positive, got {cfg['n_seeds']}")
-    out = Path(args.out)
+    _require_positive(cfg, "n_seeds", "n")
     out.mkdir(parents=True, exist_ok=True)
     _warn_lambda(cfg["lambda_tilde"])
 
@@ -275,9 +266,9 @@ def cmd_stack(args) -> int:
     if compare:
         models += [_stack_models(cfg, cfg["variant"])] * len(sweep)
         lams += sweep
+    # writer thread exits before the pool's; the other order cost ~14% peak RSS (glibc arenas)
     with _stack_passes(models, lams, x0) as passes, _file_writer() as write:
-        failures = _write_stack(cfg, out, sweep, compare, passes, write)
-    return _finish(failures)
+        return _write_stack(cfg, out, sweep, compare, passes, write)
 
 
 def _allowed_cpus() -> int:
@@ -439,11 +430,12 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
 # randomwalk
 
 
-def cmd_randomwalk(args) -> int:
-    cfg = _resolve(RANDOMWALK_SCHEMA, args, list(RANDOMWALK_SCHEMA))
+def cmd_randomwalk(cfg, out: Path) -> list[str]:
     if cfg["kernel"] not in ("symmetric", "asymmetric"):
         raise ConfigError(f"kernel must be symmetric or asymmetric, got {cfg['kernel']!r}")
-    out = Path(args.out)
+    if not (cfg["keys_path"] or cfg["transition_path"]):
+        _require_positive(cfg, "n")
+    _require_positive(cfg, "dim")
     out.mkdir(parents=True, exist_ok=True)
 
     keys = None
@@ -465,10 +457,10 @@ def cmd_randomwalk(args) -> int:
         n = keys.shape[0]
         if cfg["kernel"] == "asymmetric":
             queries = substream(cfg["seed"], 2).normal(scale=KEY_SCALE, size=keys.shape)
-            transition = random_walk.transition_from_scores(queries, keys)
+            transition = attention_matrix(queries, keys)
             symmetric_kernel = False
         else:
-            transition = random_walk.transition_from_scores(keys, keys)
+            transition = attention_matrix(keys, keys)
             symmetric_kernel = True
 
     v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
@@ -478,7 +470,7 @@ def cmd_randomwalk(args) -> int:
     try:
         pi_power = random_walk.stationary_power_iteration(transition, tol=1e-12)
     except random_walk.ConvergenceError as exc:
-        return _finish([str(exc)])
+        return [str(exc)]
     failures = []
     residual_power = float(np.abs(pi_power @ transition - pi_power).sum())
 
@@ -528,7 +520,7 @@ def cmd_randomwalk(args) -> int:
         )
 
     report = {
-        "config": {k_: cfg[k_] for k_ in RANDOMWALK_SCHEMA},
+        "config": cfg,
         "n_states": n,
         "stationary": stationary,
         "walk_check": {
@@ -551,9 +543,8 @@ def cmd_randomwalk(args) -> int:
         "failed_checks": failures,
     }
     path = out / "randomwalk.json"
-    _write_json(path, report)
-    print(f"wrote {path}")
-    return _finish(failures)
+    _write_and_print([(path, _json_bytes(report))], f"wrote {path}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +556,8 @@ def _rel_error(analytic: np.ndarray, estimate: np.ndarray) -> float:
     return float((np.abs(analytic - estimate) / denom).max())
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _resolve(GRADCHECK_SCHEMA, args, list(GRADCHECK_SCHEMA))
-    out = Path(args.out)
+def cmd_gradcheck(cfg, out: Path) -> list[str]:
+    _require_positive(cfg, "n", "dim")
     out.mkdir(parents=True, exist_ok=True)
 
     worst_j = 0.0
@@ -622,7 +612,7 @@ def cmd_gradcheck(args) -> int:
         failures.append(f"smoothing/attention identity residual {worst_identity:.3e} above 1e-12")
 
     report = {
-        "config": {k: cfg[k] for k in GRADCHECK_SCHEMA},
+        "config": cfg,
         "nonlocal_grad_max_rel_error": worst_j,
         "fidelity_grad_max_rel_error": worst_g,
         "smoothing_identity_max_abs_residual": worst_identity,
@@ -634,9 +624,8 @@ def cmd_gradcheck(args) -> int:
         "failed_checks": failures,
     }
     path = out / "gradcheck.json"
-    _write_json(path, report)
-    print(f"wrote {path}")
-    return _finish(failures)
+    _write_and_print([(path, _json_bytes(report))], f"wrote {path}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -680,18 +669,39 @@ def cmd_tensor(args) -> int:
 # wiring
 
 
-def _finish(failures: list[str]) -> int:
-    if failures:
-        print(json.dumps({"failed_checks": failures}), file=sys.stderr)
-        return 1
-    return 0
+# name -> (schema, run(cfg, out) -> failed checks, help, argparse extras by key);
+# every other flag is derived from the schema by _add_flag
+COMMANDS = {
+    "dynamics": (DYNAMICS_SCHEMA, cmd_dynamics, "frozen-transition token dynamics", {
+        "variant": {"choices": ["softmax", "neutreno"]},
+        "tokens_path": {"help": "tensor file with the initial tokens"},
+    }),
+    "stack": (STACK_SCHEMA, cmd_stack, "multi-layer model over a seed ensemble", {
+        "variant": {"choices": list(stack.VARIANTS)},
+        "lambda_sweep": {"help": "comma-separated lambda values, one summary each"},
+        "expect_separation": {
+            "help": "fail unless the variant beats the baseline on this seed fraction"},
+    }),
+    "randomwalk": (RANDOMWALK_SCHEMA, cmd_randomwalk, "stationary distribution and walk checks", {
+        "kernel": {"choices": ["symmetric", "asymmetric"]},
+        "keys_path": {"help": "tensor file with key vectors"},
+        "transition_path": {"help": "tensor file with an explicit transition matrix"},
+    }),
+    "gradcheck": (GRADCHECK_SCHEMA, cmd_gradcheck, "gradient and identity verification", {}),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--tol", type=float, default=None, help="primary check tolerance")
+def _add_flag(parser: argparse.ArgumentParser, schema: dict, key: str, **extra) -> None:
+    """Add ``--key-name`` (``--x`` for a file path ``x_path``) with ``dest``
+    ``key``, parsed as a config file value of ``key``'s schema type.  It
+    defaults to ``None``, so an absent flag leaves the file or the default."""
+    kind = schema[key][0]
+    if kind is bool:
+        extra.update(action="store_const", const=True)
+    else:  # a lambda, so that argparse names the list type "<lambda>"
+        extra["type"] = kind if isinstance(kind, type) else (lambda text: coerce(key, text, kind))
+    flag = "--" + key.removesuffix("_path").replace("_", "-")
+    parser.add_argument(flag, dest=key, default=None, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,84 +711,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dynamics", help="frozen-transition token dynamics")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--key-dim", dest="key_dim", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--variant", choices=["softmax", "neutreno"], default=None)
-    p.add_argument("--lambda-tilde", dest="lambda_tilde", type=float, default=None)
-    p.add_argument("--overflow-bound", dest="overflow_bound", type=float, default=None)
-    p.add_argument("--tokens", dest="tokens_path", default=None,
-                   help="tensor file with the initial tokens")
-    p.set_defaults(func=cmd_dynamics)
-
-    p = sub.add_parser("stack", help="multi-layer model over a seed ensemble")
-    _add_common(p)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--input-dim", dest="input_dim", type=int, default=None)
-    p.add_argument("--key-dim", dest="key_dim", type=int, default=None)
-    p.add_argument("--value-dim", dest="value_dim", type=int, default=None)
-    p.add_argument("--variant", choices=list(stack.VARIANTS), default=None)
-    p.add_argument("--lambda-tilde", dest="lambda_tilde", type=float, default=None)
-    p.add_argument("--residual", dest="residual", action="store_const", const=True,
-                   default=None)
-    p.add_argument("--init-scale", dest="init_scale", type=float, default=None)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int, default=None)
-    p.add_argument("--lambda-sweep", dest="lambda_sweep", default=None,
-                   type=lambda s: [float(t) for t in s.split(",") if t.strip()],
-                   help="comma-separated lambda values, one summary each")
-    p.add_argument("--expect-separation", dest="expect_separation", type=float,
-                   default=None,
-                   help="fail unless the variant beats the baseline on this seed fraction")
-    p.set_defaults(func=cmd_stack)
-
-    p = sub.add_parser("randomwalk", help="stationary distribution and walk checks")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--key-dim", dest="key_dim", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--kernel", choices=["symmetric", "asymmetric"], default=None)
-    p.add_argument("--walk-steps", dest="walk_steps", type=int, default=None)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--limit-steps", dest="limit_steps", type=int, default=None)
-    p.add_argument("--keys", dest="keys_path", default=None,
-                   help="tensor file with key vectors")
-    p.add_argument("--transition", dest="transition_path", default=None,
-                   help="tensor file with an explicit transition matrix")
-    p.set_defaults(func=cmd_randomwalk)
-
-    p = sub.add_parser("gradcheck", help="gradient and identity verification")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--key-dim", dest="key_dim", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--symmetric", dest="symmetric", action="store_const", const=True,
-                   default=None)
-    p.set_defaults(func=cmd_gradcheck)
+    for name, (schema, _, help_text, extras) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        _add_flag(p, schema, "seed", help="master seed")
+        p.add_argument("--out", default="out", help="output directory")
+        _add_flag(p, schema, "tol", help="primary check tolerance")
+        for key in schema:
+            if key not in ("seed", "tol"):
+                _add_flag(p, schema, key, **extras.get(key, {}))
 
     p = sub.add_parser("tensor", help="inspect or convert tensor files")
     tensor_sub = p.add_subparsers(dest="tensor_action", required=True)
     pi = tensor_sub.add_parser("inspect", help="print shape and summary stats")
     pi.add_argument("path")
-    pi.set_defaults(func=cmd_tensor)
     pc = tensor_sub.add_parser("convert", help="convert tensor file <-> csv")
     pc.add_argument("src")
     pc.add_argument("dst")
-    pc.set_defaults(func=cmd_tensor)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "tensor":
+            return cmd_tensor(args)
+        schema, run, *_ = COMMANDS[args.command]
+        failures = run(_resolve(schema, args), Path(args.out))
+        if failures:
+            print(json.dumps({"failed_checks": failures}), file=sys.stderr)
+            return 1
+        return 0
     except (ConfigError, TensorFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

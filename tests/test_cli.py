@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from neutreno import cli, stack
 from neutreno.cli import main
+from neutreno.config import coerce
 from neutreno.tensorfile import save_tensor
 
 
@@ -477,6 +479,80 @@ class TestTensorCommand:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["tensor", "inspect", str(tmp_path / "nope.ntt")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+# a zero size is a config error where the value is used, found before
+# --out is made
+@pytest.mark.parametrize("argv, key", [
+    (["dynamics", "--n", "0"], "n"),
+    (["dynamics", "--dim", "0"], "dim"),
+    (["stack", "--n", "0"], "n"),
+    (["randomwalk", "--n", "0"], "n"),
+    (["randomwalk", "--dim", "0"], "dim"),
+    (["gradcheck", "--n", "0"], "n"),
+    (["gradcheck", "--dim", "0"], "dim"),
+])
+def test_zero_size_is_a_config_error(tmp_path, capsys, argv, key):
+    out = tmp_path / "z"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be positive, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--tokens", "in.ntt", "--n", "0", "--dim", "0", "--steps", "3"],
+    ["randomwalk", "--keys", "in.ntt", "--n", "0", "--n-samples", "100"],
+    ["randomwalk", "--transition", "chain.ntt", "--n", "0", "--n-samples", "100"],
+])
+def test_unused_size_is_not_checked(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_tensor(tmp_path / "in.ntt", np.tile([0.5, -1.0], (4, 1)))
+    save_tensor(tmp_path / "chain.ntt", np.array([[0.9, 0.1], [0.5, 0.5]]))
+    assert main(argv + ["--out", "run"]) == 0
+
+
+def subparsers() -> dict:
+    [action] = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# a flag value of each schema type, as typed on the command line
+FLAG_TEXT = {int: "7", float: "0.25", str: "in.ntt", "list[float]": "0.2, ,1"}
+
+
+class TestCommandTable:
+    """Each config key is declared once, as its command's schema entry, and
+    its flag is derived from it."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_flags_are_the_schema_keys(self, name):
+        dests = [action.dest for action in subparsers()[name]._actions
+                 if action.dest not in ("help", "config", "out")]
+        assert sorted(dests) == sorted(cli.COMMANDS[name][0])
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_flags_parse_like_config_values(self, name):
+        schema = cli.COMMANDS[name][0]
+        parser = cli.build_parser()
+        assert all(getattr(parser.parse_args([name]), key) is None for key in schema)
+        for action in subparsers()[name]._actions:
+            if action.dest not in schema:
+                continue
+            kind = schema[action.dest][0]
+            if kind is bool:
+                argv, text = [], "true"
+            else:
+                text = action.choices[-1] if action.choices else FLAG_TEXT[kind]
+                argv = [text]
+            value = getattr(parser.parse_args([name, action.option_strings[0], *argv]),
+                            action.dest)
+            expected = coerce(action.dest, text, kind)
+            assert value == expected and type(value) is type(expected), action.dest
+
+    def test_lambda_sweep_skips_blank_items(self):
+        args = cli.build_parser().parse_args(["stack", "--lambda-sweep", "0.2, ,1"])
+        assert args.lambda_sweep == [0.2, 1.0]
 
 
 def test_cli_import_does_not_load_scipy():

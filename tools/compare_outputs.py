@@ -3,9 +3,12 @@
 Runs a fixed list of ``neutreno`` commands and the four demo scripts,
 once from the checkout that holds this script and once from ``--parent``
 (another checkout, for example of the parent commit).  Each run is a
-subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread.  The exit
-status, every file under ``--out``, stdout and stderr (both with the
-output directory replaced by ``<out>``) are compared byte for byte.
+subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread, in a fresh
+work directory that first receives the run's input files (``INPUTS``).
+``--out`` is appended to every command; a parser that stops at ``--help``
+or at a usage error exits before it reads that flag.  The exit status,
+every file under ``--out``, stdout and stderr (both with the output
+directory replaced by ``<out>``) are compared byte for byte.
 
     python tools/compare_outputs.py --parent ../neutreno-parent
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -83,6 +87,44 @@ COMMANDS = {
     "randomwalk-64": ["randomwalk", "--n", "64"],
     "randomwalk-asymmetric": ["randomwalk", "--n", "37", "--kernel", "asymmetric"],
     "gradcheck": ["gradcheck"],
+    "gradcheck-symmetric": ["gradcheck", "--symmetric"],
+    # the parser: every help text and three usage errors (exit 2)
+    **{"-".join(["help", *sub]): [*sub, "--help"]
+       for sub in ([], ["dynamics"], ["stack"], ["randomwalk"], ["gradcheck"], ["tensor"],
+                   ["tensor", "inspect"], ["tensor", "convert"])},
+    "usage-lambda-sweep": ["stack", "--lambda-sweep", "a"],
+    "usage-variant": ["dynamics", "--variant", "x"],
+    "usage-n": ["randomwalk", "--n", "x"],
+    # input files (see INPUTS): config files, tokens, keys and a transition
+    # matrix whose power iteration does not converge (exit 1)
+    "config-override": ["dynamics", "--config", "exp.cfg", "--steps", "12"],
+    "config-unknown-key": ["dynamics", "--config", "unknown.cfg"],
+    "config-bogus-variant": ["dynamics", "--config", "bogus.cfg"],
+    "dynamics-tokens": ["dynamics", "--tokens", "tokens.ntt", "--steps", "20"],
+    "randomwalk-keys": ["randomwalk", "--keys", "keys.ntt"],
+    "randomwalk-periodic": ["randomwalk", "--transition", "periodic.ntt"],
+}
+
+
+def tensor_bytes(rows: list[list[float]]) -> bytes:
+    """A rank-2 tensor file: magic, u32 version 1, u32 rank, u64 dims, then
+    the row-major float64 payload, all little-endian (see README)."""
+    values = [v for row in rows for v in row]
+    return struct.pack(f"<8sII2Q{len(values)}d", b"NTRNTNSR", 1, 2, len(rows), len(rows[0]),
+                       *values)
+
+
+# run name -> {file name: bytes}, written into the run's work directory
+INPUTS = {
+    "config-override": {"exp.cfg": b"steps = 10\nseed = 3\n# comment\nn = 5\n"},
+    "config-unknown-key": {"unknown.cfg": b"stepz = 10\n"},
+    "config-bogus-variant": {"bogus.cfg": b"variant = bogus\n"},
+    "dynamics-tokens": {"tokens.ntt": tensor_bytes(
+        [[(3 * i) % 7 - 3.0, 0.25 * ((5 * i) % 11)] for i in range(8)])},
+    "randomwalk-keys": {"keys.ntt": tensor_bytes(
+        [[0.3 * ((7 * i + 3 * j) % 5 - 2) for j in range(3)] for i in range(5)])},
+    "randomwalk-periodic": {"periodic.ntt": tensor_bytes(
+        [[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]])},
 }
 
 DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
@@ -101,6 +143,8 @@ def outputs(tree: Path, name: str,
             work: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
     """Exit status, normalised stdout and stderr, and ``--out`` files of
     one run."""
+    for file, data in INPUTS.get(name, {}).items():
+        (work / file).write_bytes(data)
     if name in COMMANDS:
         out = work / "out"
         status, stdout, stderr = run(
