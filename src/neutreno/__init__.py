@@ -76,13 +76,6 @@ from .random_walk import (
     walk_sample_stats,
 )
 from .stack import VARIANTS, StackConfig, StackModel, forward, init_stack
-from .tensorfile import (
-    TensorFileError,
-    TensorMagicError,
-    TensorTruncatedError,
-    TensorVersionError,
-    load_tensor,
-    save_tensor,
-)
+from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __version__ = "0.1.0"

@@ -55,6 +55,21 @@ def _csv_bytes(header: list[str], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _trace_csv(index: str, trace, *flags: str) -> bytes:
+    """A CSV of ``trace``: the step as column ``index``, then the metric
+    columns ``dynamics.METRICS`` and the ``flags`` columns as 0 or 1."""
+    columns = [trace.column(name).tolist() for name in dynamics.METRICS]
+    columns += [trace.column(name).astype(int).tolist() for name in flags]
+    return _csv_bytes([index, *dynamics.METRICS, *flags], zip(range(len(trace)), *columns))
+
+
+def _final_values(trace, prefix: str = "") -> dict:
+    """The metric columns of the last record of ``trace`` as summary keys
+    ``<prefix>final_<column>``."""
+    final = trace.final
+    return {f"{prefix}final_{name}": getattr(final, name) for name in dynamics.METRICS}
+
+
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
@@ -183,6 +198,8 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
         v0 = load_tensor(cfg["tokens_path"])
         if v0.ndim != 2:
             raise ConfigError(f"tokens file must be 2-D, got shape {v0.shape}")
+        if not v0.shape[0]:
+            raise ConfigError(f"tokens file has no rows, got shape {v0.shape}")
         n = v0.shape[0]
     else:
         n = cfg["n"]
@@ -201,14 +218,9 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
             v0, transition, cfg["steps"], overflow_bound=cfg["overflow_bound"]
         )
 
-    rows = [
-        [rec.step, float(rec.mean_cosine), float(rec.j_value),
-         float(rec.max_pairwise), int(rec.diverged)]
-        for rec in trace
-    ]
     path = out / "dynamics.csv"
-    header = ["step", "mean_cosine", "j_value", "max_pairwise", "diverged"]
-    _write_and_print([(path, _csv_bytes(header, rows))], f"wrote {path} ({len(rows)} rows)")
+    _write_and_print([(path, _trace_csv("step", trace, "diverged"))],
+                     f"wrote {path} ({len(trace)} rows)")
     if trace.diverged:
         return [f"dynamics diverged at step {next(rec.step for rec in trace if rec.diverged)}"]
     return []
@@ -239,21 +251,16 @@ def _stack_traces(models, lam: float, x0) -> list:
     return stack.forward(models, x0)[1]
 
 
-def _stack_csv_rows(trace):
-    return [
-        [rec.step, float(rec.mean_cosine), float(rec.j_value), float(rec.max_pairwise)]
-        for rec in trace
-    ]
-
-
 def cmd_stack(cfg, out: Path) -> list[str]:
     if cfg["variant"] not in stack.VARIANTS:
         raise ConfigError(f"unknown stack variant {cfg['variant']!r}")
     _require_positive(cfg, "n_seeds", "n")
     out.mkdir(parents=True, exist_ok=True)
-    _warn_lambda(cfg["lambda_tilde"])
 
     sweep = cfg["lambda_sweep"] or [cfg["lambda_tilde"]]
+    if cfg["variant"] == "neutreno":  # the only variant that reads the anchor weight
+        for lam in dict.fromkeys(sweep):
+            _warn_lambda(lam)
     compare = cfg["variant"] != "softmax"
 
     # each unit's input is drawn once; baseline traces are shared across
@@ -372,10 +379,10 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
     """Write the baseline pass of ``passes``, then one summary per anchor
     weight of ``sweep``, taking each compared pass as it arrives, through
     ``write`` (see ``_file_writer``); return the failed checks."""
-    header = ["layer", "mean_cosine", "j_value", "max_pairwise"]
     baseline_traces = next(passes)
-    write([(out / f"stack_softmax_seed{unit}.csv", _csv_bytes(header, _stack_csv_rows(trace)))
+    write([(out / f"stack_softmax_seed{unit}.csv", _trace_csv("layer", trace))
            for unit, trace in enumerate(baseline_traces)])
+    baseline_finals = [_final_values(trace, "baseline_") for trace in baseline_traces]
 
     failures = []
     for lam in sweep:
@@ -384,22 +391,13 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
         wins = 0
         traces = next(passes) if compare else None
         for unit in range(cfg["n_seeds"]):
-            seed_record = {
-                "seed_index": unit,
-                "baseline_final_mean_cosine": baseline_traces[unit].final.mean_cosine,
-                "baseline_final_j_value": baseline_traces[unit].final.j_value,
-                "baseline_final_max_pairwise": baseline_traces[unit].final.max_pairwise,
-            }
+            seed_record = {"seed_index": unit, **baseline_finals[unit]}
             if compare:
                 trace = traces[unit]
                 tag = f"lambda{lam:g}_" if len(sweep) > 1 else ""
                 path = out / f"stack_{cfg['variant']}_{tag}seed{unit}.csv"
-                csvs.append((path, _csv_bytes(header, _stack_csv_rows(trace))))
-                seed_record.update({
-                    "final_mean_cosine": trace.final.mean_cosine,
-                    "final_j_value": trace.final.j_value,
-                    "final_max_pairwise": trace.final.max_pairwise,
-                })
+                csvs.append((path, _trace_csv("layer", trace)))
+                seed_record.update(_final_values(trace))
                 if trace.final.mean_cosine < baseline_traces[unit].final.mean_cosine:
                     wins += 1
             per_seed.append(seed_record)
@@ -450,6 +448,8 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
             keys = load_tensor(cfg["keys_path"])
             if keys.ndim != 2:
                 raise ConfigError(f"keys file must be 2-D, got shape {keys.shape}")
+            if not keys.shape[0]:
+                raise ConfigError(f"keys file has no rows, got shape {keys.shape}")
         else:
             keys = substream(cfg["seed"], 0).normal(
                 scale=KEY_SCALE, size=(cfg["n"], cfg["key_dim"])

@@ -59,35 +59,64 @@ class TraceRecord:
     state: np.ndarray | None = field(default=None, repr=False)
 
 
+# the float64 columns of a trace, in the order of every CSV that holds them
+METRICS = ("mean_cosine", "j_value", "max_pairwise")
+
+
 class DynamicsTrace:
-    """Ordered per-step records, contiguous from step 0."""
+    """Per-step metrics held as named columns, contiguous from step 0.
+
+    ``column(name)`` is a read-only array with one entry per step: float64
+    for each name in ``METRICS``, bool for the latched ``"diverged"``
+    flag.  ``trace[i]``, slices and iteration give ``TraceRecord`` views of
+    the same values, whose ``state`` is the recorded state under
+    ``record_states=True`` and ``None`` otherwise.
+    """
 
     def __init__(self):
-        self.records: list[TraceRecord] = []
+        # the (len(METRICS), k) values and (k,) flags of each batch that
+        # _append_records appends, joined at the next read
+        self._batches = [(np.empty((len(METRICS), 0)), np.empty(0, dtype=bool))]
+        self._states = []  # empty unless recorded
 
-    def append(self, record: TraceRecord):
-        if record.step != len(self.records):
-            raise ValueError(
-                f"expected step {len(self.records)}, got {record.step}"
-            )
-        self.records.append(record)
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(METRICS), steps) values and the (steps,) flags."""
+        if len(self._batches) > 1:
+            values, flags = zip(*self._batches)
+            values, flags = np.concatenate(values, axis=1), np.concatenate(flags)
+            values.flags.writeable = flags.flags.writeable = False
+            self._batches = [(values, flags)]
+        return self._batches[0]
+
+    def column(self, name: str) -> np.ndarray:
+        values, flags = self._columns()
+        return flags if name == "diverged" else values[METRICS.index(name)]
+
+    def _record(self, step: int) -> TraceRecord:
+        values, flags = self._columns()
+        return TraceRecord(step, **dict(zip(METRICS, values[:, step].tolist())),
+                           diverged=bool(flags[step]),
+                           state=self._states[step] if self._states else None)
 
     def __len__(self):
-        return len(self.records)
+        return len(self._columns()[1])
 
     def __iter__(self):
-        return iter(self.records)
+        return map(self._record, range(len(self)))
 
-    def __getitem__(self, idx) -> TraceRecord:
-        return self.records[idx]
+    def __getitem__(self, idx):
+        steps = range(len(self))[idx]
+        if isinstance(steps, range):
+            return [self._record(step) for step in steps]
+        return self._record(steps)
 
     @property
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return self[-1]
 
     @property
     def diverged(self) -> bool:
-        return self.records[-1].diverged if self.records else False
+        return bool(self._batches[-1][1][-1:].any())  # the last flag, if any
 
 
 def _finite_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
@@ -110,43 +139,38 @@ def _finite_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
     return j, _cosine_means(x, norms), diameter, np.abs(x).max(axis=(-2, -1)) > overflow_bound
 
 
-def _record_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
-    """``_finite_metrics`` of every C-ordered (N, D) unit in ``x``, with
-    weights already checked; a non-finite unit gets NaN metrics and a set
-    overflow flag."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        finite = np.isfinite(x).all(axis=(-2, -1))
-        if finite.all():
-            return _finite_metrics(x, weights, overflow_bound)
-        j, cos, mp = np.full((3, len(x)), np.nan)
-        big = ~finite
-        if finite.any():
-            j[finite], cos[finite], mp[finite], big[finite] = _finite_metrics(
-                x[finite], weights[finite], overflow_bound)
-    return j, cos, mp, big
-
-
 def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np.ndarray,
                     overflow_bound: float, record_states: bool) -> None:
-    """Append the metrics of each unit ``states[i]`` to ``traces[i]`` as its
-    next step; ``states`` is (S, N, D) and ``weights`` (S, N, N).
+    """Append k steps to each trace: ``states[i]`` holds the next k (N, D)
+    states of ``traces[i]`` and ``weights[i]`` their already checked (N, N)
+    weights, so ``states`` is (S, k, N, D) and ``weights`` (S, k, N, N).
 
     J is weighted by ``weights``; J, cosine and diameter are NaN where
-    undefined.  The ``diverged`` flag latches per unit: it is set from the
-    first state that is non-finite or exceeds ``overflow_bound`` in
-    magnitude.
+    undefined, and a non-finite state gets NaN for all three.  The
+    ``diverged`` flag latches per trace: it is set from the first state
+    that is non-finite or exceeds ``overflow_bound`` in magnitude.
     """
     # the metrics run on the layout the recorded state has
     states = np.ascontiguousarray(states)
-    weights = _check_weights(weights, states.shape[-2], ndim=3)
-    j, cos, mp, big = _record_metrics(states, weights, overflow_bound)
-    for trace, state, j_value, mean_cosine, max_pairwise, overflow in zip(
-            traces, states, j.tolist(), cos.tolist(), mp.tolist(), big.tolist()):
-        trace.append(TraceRecord(
-            step=len(trace), j_value=j_value, mean_cosine=mean_cosine,
-            max_pairwise=max_pairwise, diverged=trace.diverged or overflow,
-            state=state.copy() if record_states else None,
-        ))
+    units, k, n, d = states.shape
+    x, w = states.reshape(units * k, n, d), weights.reshape(units * k, n, n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        if finite.all():
+            j, cos, mp, big = _finite_metrics(x, w, overflow_bound)
+        else:
+            j, cos, mp = np.full((3, len(x)), np.nan)
+            big = ~finite
+            if finite.any():
+                j[finite], cos[finite], mp[finite], big[finite] = _finite_metrics(
+                    x[finite], w[finite], overflow_bound)
+    values = np.stack((cos, j, mp)).reshape(len(METRICS), units, k)  # in METRICS order
+    diverged = (np.logical_or.accumulate(big.reshape(units, k), axis=1)
+                | np.array([trace.diverged for trace in traces])[:, None])
+    for i, trace in enumerate(traces):
+        trace._batches.append((values[:, i], diverged[i]))
+        if record_states:
+            trace._states.extend(states[i].copy())
 
 
 def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
@@ -179,16 +203,8 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
                         nxt = nxt + lam * (anchor - state)
                     state = nxt
                 states[i] = state
-        j, cos, mp, big = _record_metrics(
-            states, np.broadcast_to(a, (len(states), n, n)), overflow_bound)
-        diverged = np.logical_or.accumulate(big) | trace.diverged
-        for j_value, mean_cosine, max_pairwise, latched, recorded in zip(
-                j.tolist(), cos.tolist(), mp.tolist(), diverged.tolist(), states):
-            trace.append(TraceRecord(
-                step=len(trace), j_value=j_value, mean_cosine=mean_cosine,
-                max_pairwise=max_pairwise, diverged=latched,
-                state=recorded.copy() if record_states else None,
-            ))
+        _append_records([trace], states[None], np.broadcast_to(a, (1, len(states), n, n)),
+                        overflow_bound, record_states)
     return trace
 
 

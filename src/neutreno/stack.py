@@ -174,9 +174,9 @@ def forward(model, x0, *, record_states: bool = False,
             # recorded as data, not raised
             kernel = np.exp(scores, out=scores)
         if index == 0:
-            _append_records(live, state, kernel, overflow_bound, record_states)
+            _append_records(live, state[:, None], kernel[:, None], overflow_bound, record_states)
         state = out + state if cfg.residual else out
-        _append_records(live, state, kernel, overflow_bound, record_states)
+        _append_records(live, state[:, None], kernel[:, None], overflow_bound, record_states)
         # release the kernel before the next layer forms its scores
         del scores, kernel
         # a unit stops before its score products can overflow to

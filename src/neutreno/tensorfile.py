@@ -22,9 +22,6 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "TensorFileError",
-    "TensorMagicError",
-    "TensorVersionError",
-    "TensorTruncatedError",
     "save_tensor",
     "load_tensor",
 ]
@@ -34,19 +31,7 @@ VERSION = 1
 
 
 class TensorFileError(ValueError):
-    """Base class for malformed tensor files."""
-
-
-class TensorMagicError(TensorFileError):
-    """File does not start with the expected magic bytes."""
-
-
-class TensorVersionError(TensorFileError):
-    """File declares an unsupported format version."""
-
-
-class TensorTruncatedError(TensorFileError):
-    """File ends before the declared header or payload is complete."""
+    """A malformed tensor file; the message names the defect."""
 
 
 def save_tensor(path, array) -> None:
@@ -62,26 +47,26 @@ def save_tensor(path, array) -> None:
 def load_tensor(path) -> np.ndarray:
     """Read a tensor written by ``save_tensor``, validating the header.
 
-    Raises ``TensorMagicError`` / ``TensorVersionError`` /
-    ``TensorTruncatedError`` for the respective defects.
+    Raises ``TensorFileError`` naming the defect: a bad magic, an
+    unsupported version, a truncated header or payload, or trailing data.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 8:
-        raise TensorTruncatedError(
+        raise TensorFileError(
             f"file is {len(blob)} bytes, shorter than the fixed header"
         )
     if blob[: len(MAGIC)] != MAGIC:
-        raise TensorMagicError(
+        raise TensorFileError(
             f"bad magic {blob[:len(MAGIC)]!r}, expected {MAGIC!r}"
         )
     version, rank = struct.unpack_from("<II", blob, len(MAGIC))
     if version != VERSION:
-        raise TensorVersionError(f"unsupported version {version}, expected {VERSION}")
+        raise TensorFileError(f"unsupported version {version}, expected {VERSION}")
     offset = len(MAGIC) + 8
     dims_bytes = 8 * rank
     if len(blob) < offset + dims_bytes:
-        raise TensorTruncatedError("file ends inside the dimension list")
+        raise TensorFileError("file ends inside the dimension list")
     dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
     offset += dims_bytes
     count = 1
@@ -90,7 +75,7 @@ def load_tensor(path) -> np.ndarray:
     expected = 8 * count
     payload = blob[offset:]
     if len(payload) < expected:
-        raise TensorTruncatedError(
+        raise TensorFileError(
             f"payload is {len(payload)} bytes, expected {expected} "
             f"for dims {tuple(dims)}"
         )

@@ -159,6 +159,38 @@ class TestStackCommand:
         assert main(["stack", "--n-seeds", "0", "--out", str(tmp_path / "z")]) == 2
         assert "n_seeds" in capsys.readouterr().err
 
+    def test_summaries_match_the_last_csv_rows(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["stack", "--variant", "neutreno", "--n-seeds", "3",
+                     "--lambda-sweep", "0.2,0.6", "--out", str(out)]) == 0
+        for lam in ("0.2", "0.6"):
+            summary = json.loads((out / f"summary_lambda{lam}.json").read_text())
+            assert [seed["seed_index"] for seed in summary["per_seed"]] == [0, 1, 2]
+            for seed in summary["per_seed"]:
+                unit = seed["seed_index"]
+                finals = {}
+                for prefix, name in (("baseline_", f"stack_softmax_seed{unit}.csv"),
+                                     ("", f"stack_neutreno_lambda{lam}_seed{unit}.csv")):
+                    header, rows = read_csv(out / name)
+                    finals.update({f"{prefix}final_{column}": value
+                                   for column, value in zip(header[1:], rows[-1][1:])})
+                assert {key: value for key, value in seed.items() if "final_" in key} == finals
+
+    # a warning for each anchor weight above 1 that a neutreno pass uses, once
+    @pytest.mark.parametrize("argv, warned", [
+        (["--lambda-tilde", "3"], [3]),
+        (["--lambda-tilde", "3", "--lambda-sweep", "0.2"], []),
+        (["--lambda-sweep", "0.2,2"], [2]),
+        (["--lambda-sweep", "3,0.2,3,1.5"], [3, 1.5]),
+        (["--variant", "softmax", "--lambda-tilde", "3"], []),
+        (["--variant", "symmetric", "--lambda-sweep", "0.2,3"], []),
+    ])
+    def test_warns_about_each_used_lambda_above_one(self, tmp_path, capsys, argv, warned):
+        assert main(["stack", "--n-seeds", "2", *argv, "--out", str(tmp_path / "w")]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: lambda_tilde = {lam:g} is above 1.0; the anchored update "
+            "can become unstable there\n" for lam in warned)
+
 
 # 256 tokens: each pass's score stack holds 2**16 entries per seed, enough
 # to run the passes in a pool of threads
@@ -509,6 +541,17 @@ def test_unused_size_is_not_checked(tmp_path, monkeypatch, argv):
     save_tensor(tmp_path / "in.ntt", np.tile([0.5, -1.0], (4, 1)))
     save_tensor(tmp_path / "chain.ntt", np.array([[0.9, 0.1], [0.5, 0.5]]))
     assert main(argv + ["--out", "run"]) == 0
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["dynamics", "--tokens", "empty.ntt"], "tokens"),
+    (["randomwalk", "--keys", "empty.ntt"], "keys"),
+])
+def test_zero_row_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    save_tensor(tmp_path / "empty.ntt", np.zeros((0, 3)))
+    assert main(argv + ["--out", "run"]) == 2
+    assert capsys.readouterr().err == f"error: {kind} file has no rows, got shape (0, 3)\n"
 
 
 def subparsers() -> dict:

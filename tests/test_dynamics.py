@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from neutreno import linalg
 from neutreno.dynamics import (
     DEFAULT_OVERFLOW_BOUND,
+    METRICS,
     _finite_metrics,
     fixed_point_separation,
     neutreno_fixed_point,
@@ -176,9 +177,23 @@ def reference_run(v0, a, steps, lam=0.0, anchor=None,
     return records
 
 
+def assert_same_records(records, expected):
+    """Field-wise equality of two record lists, NaN equal to NaN."""
+    assert len(records) == len(expected)
+    for rec, exp in zip(records, expected):
+        assert (rec.step, rec.diverged) == (exp.step, exp.diverged)
+        np.testing.assert_array_equal([getattr(rec, name) for name in METRICS],
+                                      [getattr(exp, name) for name in METRICS])
+        if exp.state is None:
+            assert rec.state is None
+        else:
+            np.testing.assert_array_equal(rec.state, exp.state)
+
+
 def assert_matches_reference(trace, reference, record_states):
     assert len(trace) == len(reference)
-    for step, (rec, (j, cos, diameter, diverged, state)) in enumerate(zip(trace, reference)):
+    records = list(trace)
+    for step, (rec, (j, cos, diameter, diverged, state)) in enumerate(zip(records, reference)):
         assert rec.step == step
         np.testing.assert_array_equal(
             [rec.j_value, rec.mean_cosine, rec.max_pairwise], [j, cos, diameter])
@@ -187,6 +202,16 @@ def assert_matches_reference(trace, reference, record_states):
             np.testing.assert_array_equal(rec.state, state)
         else:
             assert rec.state is None
+    # the other views of the trace: indices from either end, slices, the
+    # final record and the columns
+    assert_same_records([trace[-1], trace.final], records[-1:] * 2)
+    assert_same_records([trace[i - len(trace)] for i in range(len(trace))], records)
+    assert_same_records(trace[1:-1:3], records[1:-1:3])
+    assert trace.diverged is records[-1].diverged
+    for name in (*METRICS, "diverged"):
+        column = trace.column(name)
+        np.testing.assert_array_equal(column, [getattr(rec, name) for rec in records])
+        assert not column.flags.writeable
 
 
 class TestBatchedRecords:

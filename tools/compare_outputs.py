@@ -7,14 +7,17 @@ subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread, in a fresh
 work directory that first receives the run's input files (``INPUTS``).
 ``--out`` is appended to every command; a parser that stops at ``--help``
 or at a usage error exits before it reads that flag.  The exit status,
-every file under ``--out``, stdout and stderr (both with the output
-directory replaced by ``<out>``) are compared byte for byte.
+stdout, every file under ``--out`` and stderr (stdout and stderr with the
+output directory replaced by ``<out>``) are compared byte for byte, in
+that order, so a run reported with a stderr difference matched in
+everything else.
 
     python tools/compare_outputs.py --parent ../neutreno-parent
 
-Prints the first difference and exits 1, or exits 0 when every run
-matches.  It is not part of the test suite: the bits depend on the BLAS
-build, so both trees must run on the same machine.
+Prints each run's first difference, or that it is identical, and exits
+1 if any run differed, 0 when every run matches.  It is not part of the
+test suite: the bits depend on the BLAS build, so both trees must run on
+the same machine.
 """
 
 from __future__ import annotations
@@ -103,15 +106,19 @@ COMMANDS = {
     "dynamics-tokens": ["dynamics", "--tokens", "tokens.ntt", "--steps", "20"],
     "randomwalk-keys": ["randomwalk", "--keys", "keys.ntt"],
     "randomwalk-periodic": ["randomwalk", "--transition", "periodic.ntt"],
+    # files with no rows (exit 2)
+    "dynamics-tokens-empty": ["dynamics", "--tokens", "tokens.ntt"],
+    "randomwalk-keys-empty": ["randomwalk", "--keys", "keys.ntt"],
 }
 
 
-def tensor_bytes(rows: list[list[float]]) -> bytes:
+def tensor_bytes(rows: list[list[float]], width: int | None = None) -> bytes:
     """A rank-2 tensor file: magic, u32 version 1, u32 rank, u64 dims, then
-    the row-major float64 payload, all little-endian (see README)."""
+    the row-major float64 payload, all little-endian (see README).  With no
+    rows, ``width`` gives the second dimension."""
     values = [v for row in rows for v in row]
-    return struct.pack(f"<8sII2Q{len(values)}d", b"NTRNTNSR", 1, 2, len(rows), len(rows[0]),
-                       *values)
+    return struct.pack(f"<8sII2Q{len(values)}d", b"NTRNTNSR", 1, 2, len(rows),
+                       len(rows[0]) if rows else width, *values)
 
 
 # run name -> {file name: bytes}, written into the run's work directory
@@ -125,6 +132,8 @@ INPUTS = {
         [[0.3 * ((7 * i + 3 * j) % 5 - 2) for j in range(3)] for i in range(5)])},
     "randomwalk-periodic": {"periodic.ntt": tensor_bytes(
         [[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]])},
+    "dynamics-tokens-empty": {"tokens.ntt": tensor_bytes([], 3)},
+    "randomwalk-keys-empty": {"keys.ntt": tensor_bytes([], 3)},
 }
 
 DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
@@ -172,14 +181,14 @@ def compare(parent: Path, change: Path, name: str) -> str | None:
         return f"exit status {status_a} in parent, {status_b} in change"
     if stdout_a != stdout_b:
         return first_difference("stdout", stdout_a, stdout_b)
-    if stderr_a != stderr_b:
-        return first_difference("stderr", stderr_a, stderr_b)
     if files_a.keys() != files_b.keys():
         return (f"files only in parent: {sorted(files_a.keys() - files_b.keys())}, "
                 f"only in change: {sorted(files_b.keys() - files_a.keys())}")
     for file in files_a:
         if files_a[file] != files_b[file]:
             return first_difference(file, files_a[file], files_b[file])
+    if stderr_a != stderr_b:
+        return first_difference("stderr", stderr_a, stderr_b)
     return None
 
 
@@ -189,13 +198,12 @@ def main(argv=None) -> int:
                         help="checkout to compare against (its src/ and demos/ are used)")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
+    differed = False
     for name in [*COMMANDS, *DEMOS]:
         difference = compare(parent, HERE, name)
-        if difference is not None:
-            print(f"{name}: {difference}")
-            return 1
-        print(f"{name}: identical")
-    return 0
+        print(f"{name}: {difference or 'identical'}")
+        differed |= difference is not None
+    return int(differed)
 
 
 if __name__ == "__main__":
