@@ -19,11 +19,9 @@ for the file-emitting experiment runner.
 
 from .attention import (
     NeutrenoParams,
-    ProjectionSet,
     attention_matrix,
     exp_score_kernel,
     neutreno_attention,
-    project_qkv,
     scaled_scores,
     softmax_attention,
     symmetric_attention,

@@ -1,4 +1,4 @@
-"""Attention variants built on dense query/key/value projections.
+"""Attention variants on dense query, key and value matrices.
 
 Three variants share one score path:
 
@@ -24,9 +24,7 @@ import numpy as np
 from .linalg import _softmax, row_softmax
 
 __all__ = [
-    "ProjectionSet",
     "NeutrenoParams",
-    "project_qkv",
     "scaled_scores",
     "exp_score_kernel",
     "attention_matrix",
@@ -34,48 +32,6 @@ __all__ = [
     "symmetric_attention",
     "neutreno_attention",
 ]
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Query/key/value projection weights for one attention layer.
-
-    ``w_q`` and ``w_k`` are (key_dim, input_dim); ``w_v`` is
-    (value_dim, input_dim).  Inputs are projected as ``x @ w.T``.
-    When ``symmetric`` is set, ``w_q`` and ``w_k`` must be entrywise
-    identical.
-    """
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.w_q.shape != self.w_k.shape:
-            raise ValueError(
-                f"w_q shape {self.w_q.shape} != w_k shape {self.w_k.shape}"
-            )
-        if self.w_v.shape[1] != self.w_q.shape[1]:
-            raise ValueError(
-                f"w_v input dim {self.w_v.shape[1]} != w_q input dim {self.w_q.shape[1]}"
-            )
-        if self.symmetric and not np.array_equal(self.w_q, self.w_k):
-            raise ValueError("symmetric projection requires w_q identical to w_k")
-
-    @property
-    def key_dim(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_q.shape[1]
-
-    @property
-    def value_dim(self) -> int:
-        return self.w_v.shape[0]
 
 
 @dataclass(frozen=True)
@@ -93,19 +49,6 @@ class NeutrenoParams:
             self, "first_layer_values",
             np.asarray(self.first_layer_values, dtype=np.float64),
         )
-
-
-def project_qkv(x, proj: ProjectionSet):
-    """Project input tokens into query, key, and value matrices.
-
-    Returns ``(x @ w_q.T, x @ w_k.T, x @ w_v.T)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != proj.input_dim:
-        raise ValueError(
-            f"input shape {x.shape} does not match projection input dim {proj.input_dim}"
-        )
-    return x @ proj.w_q.T, x @ proj.w_k.T, x @ proj.w_v.T
 
 
 def scaled_scores(queries, keys) -> np.ndarray:
@@ -144,18 +87,19 @@ def attention_matrix(queries, keys) -> np.ndarray:
     return row_softmax(scaled_scores(queries, keys))
 
 
-def _attend(scores, values, anchor: NeutrenoParams | None = None) -> np.ndarray:
-    """``row_softmax(scores) @ values``, plus ``lam * (v0 - values)`` when
-    ``anchor`` is given with a nonzero weight.  The one attention path,
-    shared by the public variants and by ``neutreno.stack``, which passes
-    a stack of units along leading axes."""
+def _attend(scores, values, lambda_tilde: float = 0.0,
+            first_layer_values=None) -> np.ndarray:
+    """``row_softmax(scores) @ values``, plus ``lambda_tilde *
+    (first_layer_values - values)`` when ``lambda_tilde`` is nonzero.  The
+    one attention path, shared by the public variants and by
+    ``neutreno.stack``, which passes a stack of units along leading axes."""
     v = np.asarray(values, dtype=np.float64)
     rows = v.shape[scores.ndim - 2]
     if rows != scores.shape[-1]:
         raise ValueError(f"values have {rows} rows but keys have {scores.shape[-1]}")
     out = _softmax(scores) @ v
-    if anchor is not None and anchor.lambda_tilde:
-        out = out + anchor.lambda_tilde * (anchor.first_layer_values - v)
+    if lambda_tilde:
+        out = out + lambda_tilde * (first_layer_values - v)
     return out
 
 
@@ -186,4 +130,4 @@ def neutreno_attention(queries, keys, values, params: NeutrenoParams) -> np.ndar
         raise ValueError(
             f"first-layer values shape {v0.shape} != values shape {v.shape}"
         )
-    return _attend(scaled_scores(queries, keys), v, params)
+    return _attend(scaled_scores(queries, keys), v, params.lambda_tilde, v0)

@@ -190,20 +190,20 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
         raise ConfigError(
             f"dynamics variant must be softmax or neutreno, got {cfg['variant']!r}"
         )
-    if not cfg["tokens_path"]:
-        _require_positive(cfg, "n", "dim")
-    out.mkdir(parents=True, exist_ok=True)
-
     if cfg["tokens_path"]:
         v0 = load_tensor(cfg["tokens_path"])
         if v0.ndim != 2:
             raise ConfigError(f"tokens file must be 2-D, got shape {v0.shape}")
         if not v0.shape[0]:
             raise ConfigError(f"tokens file has no rows, got shape {v0.shape}")
+        if not v0.shape[1]:
+            raise ConfigError(f"tokens file has no columns, got shape {v0.shape}")
         n = v0.shape[0]
     else:
+        _require_positive(cfg, "n", "dim")
         n = cfg["n"]
         v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
+    out.mkdir(parents=True, exist_ok=True)
     keys = substream(cfg["seed"], 0).normal(scale=KEY_SCALE, size=(n, cfg["key_dim"]))
     transition = attention_matrix(keys, keys)
 
@@ -222,7 +222,7 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
     _write_and_print([(path, _trace_csv("step", trace, "diverged"))],
                      f"wrote {path} ({len(trace)} rows)")
     if trace.diverged:
-        return [f"dynamics diverged at step {next(rec.step for rec in trace if rec.diverged)}"]
+        return [f"dynamics diverged at step {trace.column('diverged').argmax()}"]
     return []
 
 
@@ -230,24 +230,27 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
 # stack
 
 
-def _stack_models(cfg, variant: str) -> list:
-    """One model per seed unit, drawn from ``mix_seed(seed, unit, 0)``."""
+def _stack_models(cfg) -> list:
+    """One model per seed unit, drawn from ``mix_seed(seed, unit, 0)``;
+    every variant shares these weights."""
     return [stack.init_stack(stack.StackConfig(
         layers=cfg["layers"],
         input_dim=cfg["input_dim"],
         key_dim=cfg["key_dim"],
         value_dim=cfg["value_dim"],
-        variant=variant,
         residual=cfg["residual"],
         seed=mix_seed(cfg["seed"], unit, 0),
         init_scale=cfg["init_scale"],
     )) for unit in range(cfg["n_seeds"])]
 
 
-def _stack_traces(models, lam: float, x0) -> list:
-    """Every unit's trace at anchor weight ``lam``, from one batched pass."""
-    if models[0].config.variant == "neutreno":
-        models = [replace(m, config=replace(m.config, lambda_tilde=lam)) for m in models]
+def _stack_traces(models, variant: str, lam: float, x0) -> list:
+    """Every unit's trace as ``variant`` at anchor weight ``lam``, from one
+    batched pass."""
+    change = {"variant": variant}
+    if variant == "neutreno":
+        change["lambda_tilde"] = lam
+    models = [replace(m, config=replace(m.config, **change)) for m in models]
     return stack.forward(models, x0)[1]
 
 
@@ -263,18 +266,18 @@ def cmd_stack(cfg, out: Path) -> list[str]:
             _warn_lambda(lam)
     compare = cfg["variant"] != "softmax"
 
-    # each unit's input is drawn once; baseline traces are shared across
-    # the sweep, and the compared models are reused at every lambda
+    # each unit's input and weights are drawn once; baseline traces are
+    # shared across the sweep
     x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
                    for unit in range(cfg["n_seeds"])])
     # the baseline pass, then one pass per anchor weight
-    models = [_stack_models(cfg, "softmax")]
-    lams = [0.0]
+    variants, lams = ["softmax"], [0.0]
     if compare:
-        models += [_stack_models(cfg, cfg["variant"])] * len(sweep)
+        variants += [cfg["variant"]] * len(sweep)
         lams += sweep
     # writer thread exits before the pool's; the other order cost ~14% peak RSS (glibc arenas)
-    with _stack_passes(models, lams, x0) as passes, _file_writer() as write:
+    with _stack_passes(_stack_models(cfg), variants, lams, x0) as passes, \
+            _file_writer() as write:
         return _write_stack(cfg, out, sweep, compare, passes, write)
 
 
@@ -287,9 +290,9 @@ def _allowed_cpus() -> int:
 
 
 @contextmanager
-def _stack_passes(models, lams, x0):
-    """An iterator over the traces of the passes ``_stack_traces(models[i],
-    lams[i], x0)``, in order.
+def _stack_passes(models, variants, lams, x0):
+    """An iterator over the traces of the passes ``_stack_traces(models,
+    variants[i], lams[i], x0)``, in order.
 
     The passes share no mutable state, so a pool of threads, one per
     allowed CPU, runs them at once with the bits of a sequential run.
@@ -297,15 +300,15 @@ def _stack_passes(models, lams, x0):
     its array operations are too short to release the GIL for long, and
     the passes run one at a time on the calling thread instead.
     """
-    workers = min(len(models), _allowed_cpus())
-    run = partial(_stack_traces, x0=x0)
+    workers = min(len(lams), _allowed_cpus())
+    run = partial(_stack_traces, models, x0=x0)
     if workers < 2 or x0.shape[0] * x0.shape[1] ** 2 < _BLOCK_ENTRIES:
-        yield map(run, models, lams)
+        yield map(run, variants, lams)
         return
     from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(workers)
     try:
-        yield pool.map(run, models, lams)
+        yield pool.map(run, variants, lams)
     finally:
         # after a failed pass, the passes not yet started never run
         pool.shutdown(cancel_futures=True)
@@ -434,7 +437,6 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
     if not (cfg["keys_path"] or cfg["transition_path"]):
         _require_positive(cfg, "n")
     _require_positive(cfg, "dim")
-    out.mkdir(parents=True, exist_ok=True)
 
     keys = None
     if cfg["transition_path"]:
@@ -466,6 +468,7 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
     v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
     if not 0 <= cfg["start"] < n:
         raise ConfigError(f"start index {cfg['start']} out of range for {n} states")
+    out.mkdir(parents=True, exist_ok=True)
 
     try:
         pi_power = random_walk.stationary_power_iteration(transition, tol=1e-12)

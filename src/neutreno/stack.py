@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import NeutrenoParams, ProjectionSet, _attend, scaled_scores
+from .attention import _attend, scaled_scores
 from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_records
 
 __all__ = ["VARIANTS", "StackConfig", "StackModel", "init_stack", "forward"]
@@ -68,30 +68,40 @@ class StackConfig:
 
 @dataclass(frozen=True)
 class StackModel:
-    projections: tuple[ProjectionSet, ...] = field(repr=False)
+    """A stack's config and its weights, one slice per layer: ``w_q`` and
+    ``w_k`` are (layers, key_dim, input_dim), ``w_v`` is (layers,
+    value_dim, input_dim).  Inputs are projected as ``x @ w.T``.  Every
+    variant holds the same weights; the symmetric one ties its keys to its
+    queries, so its ``w_k`` goes unused."""
+
     config: StackConfig
+    w_q: np.ndarray = field(repr=False)
+    w_k: np.ndarray = field(repr=False)
+    w_v: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        for name, rows in (("w_q", cfg.key_dim), ("w_k", cfg.key_dim), ("w_v", cfg.value_dim)):
+            shape = np.shape(getattr(self, name))
+            if shape != (cfg.layers, rows, cfg.input_dim):
+                raise ValueError(f"{name} shape {shape} does not match the config's "
+                                 f"{(cfg.layers, rows, cfg.input_dim)}")
 
 
 def init_stack(config: StackConfig) -> StackModel:
-    """Draw per-layer projection weights deterministically from the seed.
+    """Draw the projection weights deterministically from the seed.
 
-    The three weight matrices of every layer are drawn from a single
-    stream in a fixed order regardless of variant, so two configs that
-    differ only in ``variant`` or ``lambda_tilde`` share identical
-    weights.  The symmetric variant then ties the key projection to the
-    query projection.
+    Each layer's ``w_q``, ``w_k`` and ``w_v`` are drawn in that order from
+    a single stream, whatever the variant, so two configs that differ
+    only in ``variant`` or ``lambda_tilde`` hold identical weights.
     """
     rng = np.random.default_rng(config.seed)
     std = config.init_scale / np.sqrt(config.input_dim)
-    layers = []
-    for _ in range(config.layers):
-        w_q = rng.normal(scale=std, size=(config.key_dim, config.input_dim))
-        w_k = rng.normal(scale=std, size=(config.key_dim, config.input_dim))
-        w_v = rng.normal(scale=std, size=(config.value_dim, config.input_dim))
-        if config.variant == "symmetric":
-            w_k = w_q.copy()
-        layers.append(ProjectionSet(w_q, w_k, w_v, symmetric=config.variant == "symmetric"))
-    return StackModel(projections=tuple(layers), config=config)
+    k = config.key_dim
+    weights = rng.normal(scale=std, size=(config.layers, 2 * k + config.value_dim,
+                                          config.input_dim))
+    w_q, w_k, w_v = np.split(weights, [k, 2 * k], axis=1)
+    return StackModel(config, w_q, w_k, w_v)
 
 
 def _shared_config(models: list[StackModel]) -> StackConfig:
@@ -146,14 +156,15 @@ def forward(model, x0, *, record_states: bool = False,
     active = np.arange(len(models))
     live = traces
     first_layer_values = None
-    for index in range(len(models[0].projections)):
+    lam = cfg.lambda_tilde if cfg.variant == "neutreno" else 0.0
+    for index in range(cfg.layers):
         # this layer's weights of the active units, each transposed to
         # (S, input_dim, rows): state @ w is x @ w.T for every unit
-        w_q, w_k, w_v = (np.stack([getattr(models[unit].projections[index], name)
+        w_q, w_k, w_v = (np.stack([getattr(models[unit], name)[index]
                                    for unit in active]).swapaxes(-1, -2)
                          for name in ("w_q", "w_k", "w_v"))
-        k = state @ w_k
-        q = k if cfg.variant == "symmetric" else state @ w_q
+        q = state @ w_q
+        k = q if cfg.variant == "symmetric" else state @ w_k
         v = state @ w_v
         # one score matrix per layer feeds both the softmax and the kernel;
         # an overflowing product is named by the check below, not warned of
@@ -165,9 +176,7 @@ def forward(model, x0, *, record_states: bool = False,
                 f"non-finite entry in row {row} of scores of unit {active[unit]}")
         if index == 0:
             first_layer_values = v
-        anchor = (NeutrenoParams(cfg.lambda_tilde, first_layer_values)
-                  if cfg.variant == "neutreno" else None)
-        out = _attend(scores, v, anchor)
+        out = _attend(scores, v, lam, first_layer_values)
         # the softmax has read the scores, so the kernel overwrites them
         with np.errstate(over="ignore"):
             # a diverging state saturates the kernel to inf; that is

@@ -5,10 +5,8 @@ import pytest
 
 from neutreno.attention import (
     NeutrenoParams,
-    ProjectionSet,
     attention_matrix,
     neutreno_attention,
-    project_qkv,
     softmax_attention,
     symmetric_attention,
 )
@@ -27,41 +25,6 @@ def loop_attention(q, k, v):
         for j in range(k.shape[0]):
             out[i] += weights[j] * v[j]
     return out
-
-
-class TestProjectQKV:
-    def test_identity_projection(self):
-        proj = ProjectionSet(np.eye(3), np.eye(3), np.eye(3))
-        q, k, v = project_qkv(np.eye(3), proj)
-        np.testing.assert_array_equal(q, np.eye(3))
-        np.testing.assert_array_equal(k, np.eye(3))
-        np.testing.assert_array_equal(v, np.eye(3))
-
-    def test_hand_multiplied(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = np.array([[1.0, -1.0], [0.5, 0.0]])
-        proj = ProjectionSet(w, 2 * w, 3 * w)
-        q, k, v = project_qkv(x, proj)
-        np.testing.assert_allclose(q, x @ w.T)
-        np.testing.assert_allclose(k, x @ (2 * w).T)
-        np.testing.assert_allclose(v, x @ (3 * w).T)
-
-    def test_zero_input(self):
-        proj = ProjectionSet(np.ones((2, 3)), np.ones((2, 3)), np.ones((4, 3)))
-        q, k, v = project_qkv(np.zeros((5, 3)), proj)
-        assert not q.any() and not k.any() and not v.any()
-
-    def test_shape_mismatch_names_shapes(self):
-        proj = ProjectionSet(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ValueError, match=r"\(4, 2\)"):
-            project_qkv(np.zeros((4, 2)), proj)
-
-    def test_projection_set_validates(self):
-        with pytest.raises(ValueError):
-            ProjectionSet(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)))
-        with pytest.raises(ValueError, match="symmetric"):
-            ProjectionSet(np.ones((2, 3)), 2 * np.ones((2, 3)), np.ones((2, 3)),
-                          symmetric=True)
 
 
 class TestSoftmaxAttention:

@@ -143,6 +143,14 @@ class TestStackCommand:
                          "--lambda-sweep", "0.2,0.6", "--out", str(tmp_path / "s")]) == 0
         assert spy.call_count == 3
 
+    def test_weights_drawn_once_per_seed(self, tmp_path):
+        """The baseline and every anchor weight run on the same models."""
+        spy = mock.Mock(wraps=stack.init_stack)
+        with mock.patch.object(stack, "init_stack", spy):
+            assert main(["stack", "--variant", "neutreno", "--n-seeds", "3",
+                         "--lambda-sweep", "0.2,0.6", "--out", str(tmp_path / "s")]) == 0
+        assert spy.call_count == 3
+
     def test_overflowing_scores_name_the_unit(self, tmp_path, capsys):
         # the error line is all that reaches stderr: no overflow warning
         # from the score product precedes it
@@ -543,15 +551,22 @@ def test_unused_size_is_not_checked(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", "run"]) == 0
 
 
+# a file with no rows or no columns is named before --out is made
 @pytest.mark.parametrize("argv, kind", [
-    (["dynamics", "--tokens", "empty.ntt"], "tokens"),
-    (["randomwalk", "--keys", "empty.ntt"], "keys"),
+    (["dynamics", "--tokens", "rows.ntt"], "tokens"),
+    (["randomwalk", "--keys", "rows.ntt"], "keys"),
+    (["dynamics", "--tokens", "columns.ntt"], "tokens"),
 ])
 def test_zero_row_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
-    save_tensor(tmp_path / "empty.ntt", np.zeros((0, 3)))
+    shapes = {"rows": (0, 3), "columns": (3, 0)}
+    for lacks, shape in shapes.items():
+        save_tensor(tmp_path / f"{lacks}.ntt", np.zeros(shape))
+    lacks = argv[-1].removesuffix(".ntt")
     assert main(argv + ["--out", "run"]) == 2
-    assert capsys.readouterr().err == f"error: {kind} file has no rows, got shape (0, 3)\n"
+    assert capsys.readouterr().err == \
+        f"error: {kind} file has no {lacks}, got shape {shapes[lacks]}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def subparsers() -> dict:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from neutreno.attention import (
     NeutrenoParams,
     exp_score_kernel,
     neutreno_attention,
-    project_qkv,
     softmax_attention,
 )
 from neutreno.dynamics import DEFAULT_OVERFLOW_BOUND
@@ -22,6 +22,8 @@ from neutreno.stack import StackConfig, StackModel, forward, init_stack
 VARIANT_LAMBDAS = [("softmax", 0.0), ("symmetric", 0.0),
                    ("neutreno", 0.0), ("neutreno", 0.6)]
 
+WEIGHTS = ("w_q", "w_k", "w_v")
+
 
 def make_config(**overrides):
     base = dict(layers=4, input_dim=6, key_dim=5, value_dim=6, seed=7)
@@ -29,27 +31,35 @@ def make_config(**overrides):
     return StackConfig(**base)
 
 
+def project(x, w):
+    """Tokens ``x`` projected by one layer's weights ``w``."""
+    return x @ w.T
+
+
 class TestInitStack:
     def test_deterministic(self):
         a = init_stack(make_config())
         b = init_stack(make_config())
-        for pa, pb in zip(a.projections, b.projections):
-            np.testing.assert_array_equal(pa.w_q, pb.w_q)
-            np.testing.assert_array_equal(pa.w_k, pb.w_k)
-            np.testing.assert_array_equal(pa.w_v, pb.w_v)
-
-    def test_symmetric_variant_ties_projections(self):
-        model = init_stack(make_config(variant="symmetric"))
-        for proj in model.projections:
-            np.testing.assert_array_equal(proj.w_q, proj.w_k)
-            assert proj.symmetric
+        for name in WEIGHTS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_variants_share_weights_for_same_seed(self):
         plain = init_stack(make_config(variant="softmax"))
-        anchored = init_stack(make_config(variant="neutreno", lambda_tilde=0.6))
-        for pp, pa in zip(plain.projections, anchored.projections):
-            np.testing.assert_array_equal(pp.w_v, pa.w_v)
-            np.testing.assert_array_equal(pp.w_q, pa.w_q)
+        for variant in ("symmetric", "neutreno"):
+            other = init_stack(make_config(variant=variant, lambda_tilde=0.6))
+            for name in WEIGHTS:
+                np.testing.assert_array_equal(getattr(plain, name), getattr(other, name))
+
+    def test_model_checks_weight_shapes_against_config(self):
+        config = make_config()
+        model = init_stack(config)
+        assert model.w_q.shape == model.w_k.shape == (4, 5, 6)
+        assert model.w_v.shape == (4, 6, 6)
+        weights = {name: getattr(model, name) for name in WEIGHTS}
+        for name, bad in [("w_q", np.zeros((3, 5, 6))), ("w_k", np.zeros((4, 6, 6))),
+                          ("w_v", np.zeros((4, 6, 5)))]:
+            with pytest.raises(ValueError, match=name):
+                StackModel(config, **{**weights, name: bad})
 
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ValueError):
@@ -76,9 +86,26 @@ class TestForward:
         model = init_stack(config)
         x0 = np.random.default_rng(2).normal(size=(5, 6))
         out, trace = forward(model, x0)
-        q, k, v = project_qkv(x0, model.projections[0])
+        q, k, v = (project(x0, getattr(model, name)[0]) for name in WEIGHTS)
         np.testing.assert_array_equal(out, softmax_attention(q, k, v))
         assert len(trace) == 2
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_symmetric_variant_ties_keys_to_queries(self, residual):
+        # a symmetric model is a softmax model whose key weights are its
+        # query weights
+        x0 = np.random.default_rng(9).normal(size=(7, 6))
+        symmetric = init_stack(make_config(variant="symmetric", residual=residual))
+        tied = replace(symmetric, config=replace(symmetric.config, variant="softmax"),
+                       w_k=symmetric.w_q)
+        sym_out, sym_trace = forward(symmetric, x0, record_states=True)
+        tied_out, tied_trace = forward(tied, x0, record_states=True)
+        np.testing.assert_array_equal(sym_out, tied_out)
+        assert len(sym_trace) == len(tied_trace)
+        for a, b in zip(sym_trace, tied_trace):
+            np.testing.assert_array_equal([a.j_value, a.mean_cosine, a.max_pairwise],
+                                          [b.j_value, b.mean_cosine, b.max_pairwise])
+            np.testing.assert_array_equal(a.state, b.state)
 
     def test_zero_lambda_neutreno_matches_softmax_bitwise(self):
         x0 = np.random.default_rng(3).normal(size=(6, 6))
@@ -154,10 +181,10 @@ def reference_forward(model, x0):
                 cos = pairwise_cosine_mean(state)
         records.append((j, cos, diameter, diverged, state))
 
-    for index, proj in enumerate(model.projections):
-        q, k, v = project_qkv(state, proj)
-        if cfg.variant == "symmetric":
-            q = k
+    for index in range(cfg.layers):
+        q = project(state, model.w_q[index])
+        k = q if cfg.variant == "symmetric" else project(state, model.w_k[index])
+        v = project(state, model.w_v[index])
         with np.errstate(over="ignore"):
             kernel = exp_score_kernel(q, k)
         if index == 0:
@@ -230,7 +257,7 @@ class TestForwardMatchesReference:
             model = init_stack(make_config(layers=2, input_dim=d, value_dim=d))
             x0 = np.asfortranarray(rng.normal(size=(n, d)))
             _, trace = forward(model, x0, record_states=True)
-            q, k, _ = project_qkv(x0, model.projections[0])
+            q, k = project(x0, model.w_q[0]), project(x0, model.w_k[0])
             record = trace[0]
             assert record.j_value == nonlocal_energy(record.state, exp_score_kernel(q, k))
             assert record.max_pairwise == max_pairwise_distance(record.state)
@@ -335,8 +362,8 @@ class TestBatchedForward:
         eye = np.eye(2)
 
         def model(w_qk, w_v):
-            proj = attention.ProjectionSet(w_qk * eye, w_qk * eye, w_v * eye)
-            return StackModel(projections=(proj,) * config.layers, config=config)
+            w_qk, w_v = (np.broadcast_to(w * eye, (config.layers, 2, 2)) for w in (w_qk, w_v))
+            return StackModel(config, w_qk, w_qk, w_v)
 
         models = [model(0.0, 1e100), model(1e100, 10.0)]
         with pytest.raises(ValueError, match="of scores of unit 1"), \

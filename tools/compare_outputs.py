@@ -106,9 +106,10 @@ COMMANDS = {
     "dynamics-tokens": ["dynamics", "--tokens", "tokens.ntt", "--steps", "20"],
     "randomwalk-keys": ["randomwalk", "--keys", "keys.ntt"],
     "randomwalk-periodic": ["randomwalk", "--transition", "periodic.ntt"],
-    # files with no rows (exit 2)
+    # files with no rows or no columns (exit 2)
     "dynamics-tokens-empty": ["dynamics", "--tokens", "tokens.ntt"],
     "randomwalk-keys-empty": ["randomwalk", "--keys", "keys.ntt"],
+    "dynamics-tokens-no-columns": ["dynamics", "--tokens", "tokens.ntt"],
 }
 
 
@@ -134,6 +135,7 @@ INPUTS = {
         [[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]])},
     "dynamics-tokens-empty": {"tokens.ntt": tensor_bytes([], 3)},
     "randomwalk-keys-empty": {"keys.ntt": tensor_bytes([], 3)},
+    "dynamics-tokens-no-columns": {"tokens.ntt": tensor_bytes([[], [], []])},
 }
 
 DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
