@@ -16,10 +16,9 @@ LAYERS, N, DIM = 12, 16, 8
 
 def run(seed, variant, lam=0.0, residual=False):
     config = StackConfig(layers=LAYERS, input_dim=DIM, key_dim=DIM, value_dim=DIM,
-                         variant=variant, lambda_tilde=lam, residual=residual,
-                         seed=seed)
+                         variant=variant, lambda_tilde=lam, residual=residual)
     x0 = substream(seed, 1).normal(size=(N, DIM))
-    _, trace = forward(init_stack(config), x0)
+    _, trace = forward(init_stack(config, seed), x0)
     return trace
 
 

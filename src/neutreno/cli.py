@@ -203,6 +203,8 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
         _require_positive(cfg, "n", "dim")
         n = cfg["n"]
         v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
+    if cfg["steps"] < 1:
+        raise ConfigError(f"steps must be at least 1, got {cfg['steps']}")
     out.mkdir(parents=True, exist_ok=True)
     keys = substream(cfg["seed"], 0).normal(scale=KEY_SCALE, size=(n, cfg["key_dim"]))
     transition = attention_matrix(keys, keys)
@@ -230,34 +232,34 @@ def cmd_dynamics(cfg, out: Path) -> list[str]:
 # stack
 
 
-def _stack_models(cfg) -> list:
-    """One model per seed unit, drawn from ``mix_seed(seed, unit, 0)``;
-    every variant shares these weights."""
-    return [stack.init_stack(stack.StackConfig(
-        layers=cfg["layers"],
-        input_dim=cfg["input_dim"],
-        key_dim=cfg["key_dim"],
-        value_dim=cfg["value_dim"],
-        residual=cfg["residual"],
-        seed=mix_seed(cfg["seed"], unit, 0),
-        init_scale=cfg["init_scale"],
-    )) for unit in range(cfg["n_seeds"])]
-
-
-def _stack_traces(models, variant: str, lam: float, x0) -> list:
+def _stack_traces(model, variant: str, lam: float, x0) -> list:
     """Every unit's trace as ``variant`` at anchor weight ``lam``, from one
     batched pass."""
     change = {"variant": variant}
     if variant == "neutreno":
         change["lambda_tilde"] = lam
-    models = [replace(m, config=replace(m.config, **change)) for m in models]
-    return stack.forward(models, x0)[1]
+    return stack.forward(replace(model, config=replace(model.config, **change)), x0)[1]
 
 
 def cmd_stack(cfg, out: Path) -> list[str]:
     if cfg["variant"] not in stack.VARIANTS:
         raise ConfigError(f"unknown stack variant {cfg['variant']!r}")
     _require_positive(cfg, "n_seeds", "n")
+
+    # each unit's input and weights are drawn once, unit u's weights from
+    # mix_seed(seed, u, 0); every variant, so every pass, shares them
+    units = range(cfg["n_seeds"])
+    x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
+                   for unit in units])
+    config = stack.StackConfig(
+        layers=cfg["layers"],
+        input_dim=cfg["input_dim"],
+        key_dim=cfg["key_dim"],
+        value_dim=cfg["value_dim"],
+        residual=cfg["residual"],
+        init_scale=cfg["init_scale"],
+    )
+    model = stack.init_stack(config, [mix_seed(cfg["seed"], unit, 0) for unit in units])
     out.mkdir(parents=True, exist_ok=True)
 
     sweep = cfg["lambda_sweep"] or [cfg["lambda_tilde"]]
@@ -265,18 +267,13 @@ def cmd_stack(cfg, out: Path) -> list[str]:
         for lam in dict.fromkeys(sweep):
             _warn_lambda(lam)
     compare = cfg["variant"] != "softmax"
-
-    # each unit's input and weights are drawn once; baseline traces are
-    # shared across the sweep
-    x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
-                   for unit in range(cfg["n_seeds"])])
     # the baseline pass, then one pass per anchor weight
     variants, lams = ["softmax"], [0.0]
     if compare:
         variants += [cfg["variant"]] * len(sweep)
         lams += sweep
     # writer thread exits before the pool's; the other order cost ~14% peak RSS (glibc arenas)
-    with _stack_passes(_stack_models(cfg), variants, lams, x0) as passes, \
+    with _stack_passes(model, variants, lams, x0) as passes, \
             _file_writer() as write:
         return _write_stack(cfg, out, sweep, compare, passes, write)
 
@@ -290,8 +287,8 @@ def _allowed_cpus() -> int:
 
 
 @contextmanager
-def _stack_passes(models, variants, lams, x0):
-    """An iterator over the traces of the passes ``_stack_traces(models,
+def _stack_passes(model, variants, lams, x0):
+    """An iterator over the traces of the passes ``_stack_traces(model,
     variants[i], lams[i], x0)``, in order.
 
     The passes share no mutable state, so a pool of threads, one per
@@ -301,7 +298,7 @@ def _stack_passes(models, variants, lams, x0):
     the passes run one at a time on the calling thread instead.
     """
     workers = min(len(lams), _allowed_cpus())
-    run = partial(_stack_traces, models, x0=x0)
+    run = partial(_stack_traces, model, x0=x0)
     if workers < 2 or x0.shape[0] * x0.shape[1] ** 2 < _BLOCK_ENTRIES:
         yield map(run, variants, lams)
         return
@@ -468,6 +465,11 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
     v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
     if not 0 <= cfg["start"] < n:
         raise ConfigError(f"start index {cfg['start']} out of range for {n} states")
+    if cfg["n_samples"] < 1:
+        raise ConfigError(f"need at least one sample, got {cfg['n_samples']}")
+    for key in ("walk_steps", "limit_steps"):
+        if cfg[key] < 0:
+            raise ConfigError(f"steps must be nonnegative, got {cfg[key]}")
     out.mkdir(parents=True, exist_ok=True)
 
     try:

@@ -39,15 +39,14 @@ __all__ = [
 ]
 
 
-def _check_weights(w, n_tokens: int, ndim: int = 2) -> np.ndarray:
-    """Validate a square nonnegative weight matrix, or with ``ndim`` > 2 a
-    stack of them with leading unit axes."""
+def _check_weights(w, n_tokens: int) -> np.ndarray:
+    """Validate a square nonnegative weight matrix."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != ndim or w.shape[-1] != w.shape[-2]:
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    if w.shape[-1] != n_tokens:
+    if w.shape[0] != n_tokens:
         raise ValueError(
-            f"weight matrix is {w.shape[-1]}x{w.shape[-1]} but tokens have {n_tokens} rows"
+            f"weight matrix is {w.shape[0]}x{w.shape[0]} but tokens have {n_tokens} rows"
         )
     if np.any(w < 0):
         raise ValueError("weight matrix must be entrywise nonnegative")

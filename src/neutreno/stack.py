@@ -15,7 +15,7 @@ measured under the first layer's kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class StackConfig:
     variant: str = "softmax"
     lambda_tilde: float = 0.0
     residual: bool = False
-    seed: int = 0
     init_scale: float = 1.0
 
     def __post_init__(self):
@@ -70,9 +69,11 @@ class StackConfig:
 class StackModel:
     """A stack's config and its weights, one slice per layer: ``w_q`` and
     ``w_k`` are (layers, key_dim, input_dim), ``w_v`` is (layers,
-    value_dim, input_dim).  Inputs are projected as ``x @ w.T``.  Every
-    variant holds the same weights; the symmetric one ties its keys to its
-    queries, so its ``w_k`` goes unused."""
+    value_dim, input_dim) for one seed, and each has a leading seed axis,
+    (S, layers, rows, input_dim), for an ensemble of S seeds.  Inputs are
+    projected as ``x @ w.T``.  Every variant holds the same weights; the
+    symmetric one ties its keys to its queries, so its ``w_k`` goes
+    unused."""
 
     config: StackConfig
     w_q: np.ndarray = field(repr=False)
@@ -81,53 +82,46 @@ class StackModel:
 
     def __post_init__(self):
         cfg = self.config
+        seeds = np.shape(self.w_q)[:-3]  # () for one seed, (S,) for an ensemble
         for name, rows in (("w_q", cfg.key_dim), ("w_k", cfg.key_dim), ("w_v", cfg.value_dim)):
             shape = np.shape(getattr(self, name))
-            if shape != (cfg.layers, rows, cfg.input_dim):
+            if len(seeds) > 1 or shape != (*seeds, cfg.layers, rows, cfg.input_dim):
                 raise ValueError(f"{name} shape {shape} does not match the config's "
-                                 f"{(cfg.layers, rows, cfg.input_dim)}")
+                                 f"{(cfg.layers, rows, cfg.input_dim)} after w_q's seed axes")
 
 
-def init_stack(config: StackConfig) -> StackModel:
-    """Draw the projection weights deterministically from the seed.
+def init_stack(config: StackConfig, seed) -> StackModel:
+    """Draw the projection weights deterministically from ``seed``.
 
     Each layer's ``w_q``, ``w_k`` and ``w_v`` are drawn in that order from
-    a single stream, whatever the variant, so two configs that differ
-    only in ``variant`` or ``lambda_tilde`` hold identical weights.
+    the stream ``default_rng(seed)``, whatever the variant, so two configs
+    that differ only in ``variant`` or ``lambda_tilde`` hold identical
+    weights.  A sequence of S seeds draws unit ``u`` from ``seed[u]`` in
+    the same way and stacks the units along a leading seed axis.
     """
-    rng = np.random.default_rng(config.seed)
     std = config.init_scale / np.sqrt(config.input_dim)
     k = config.key_dim
-    weights = rng.normal(scale=std, size=(config.layers, 2 * k + config.value_dim,
-                                          config.input_dim))
-    w_q, w_k, w_v = np.split(weights, [k, 2 * k], axis=1)
+    size = (config.layers, 2 * k + config.value_dim, config.input_dim)
+    ensemble = np.ndim(seed) == 1
+    seeds = seed if ensemble else [seed]
+    if not len(seeds):
+        raise ValueError("need at least one seed")
+    # filled unit by unit: one draw at a time is alive next to the result
+    weights = np.empty((len(seeds), *size))
+    for unit, s in enumerate(seeds):
+        weights[unit] = np.random.default_rng(s).normal(scale=std, size=size)
+    w_q, w_k, w_v = np.split(weights if ensemble else weights[0], [k, 2 * k], axis=-2)
     return StackModel(config, w_q, w_k, w_v)
 
 
-def _shared_config(models: list[StackModel]) -> StackConfig:
-    """The config that every model shares apart from its seed."""
-    if not models:
-        raise ValueError("need at least one model")
-    config = models[0].config
-    for model in models[1:]:
-        if replace(model.config, seed=config.seed) != config:
-            raise ValueError(
-                f"models must share one config apart from the seed: "
-                f"{model.config} differs from {config}"
-            )
-    return config
-
-
-def forward(model, x0, *, record_states: bool = False,
-            overflow_bound: float = DEFAULT_OVERFLOW_BOUND):
+def forward(model: StackModel, x0, *, record_states: bool = False):
     """Run the stack on input tokens; return (output, per-layer trace).
 
-    ``model`` is one ``StackModel`` and ``x0`` its (N, D) tokens, or
-    ``model`` is a sequence of S models that share one config apart from
-    the seed and ``x0`` is (S, N, D); then the output is (S, N, D') and
-    the trace a list of S traces.  Both forms run the same batched code,
-    and each unit's output and trace are bitwise-identical to a call with
-    that unit alone.
+    A model of one seed runs (N, D) tokens ``x0``.  A model with a seed
+    axis of S units runs (S, N, D) tokens; then the output is (S, N, D')
+    and the trace a list of S traces.  Both forms run the same batched
+    code, and each unit's output and trace are bitwise-identical to a
+    call with that unit alone.
 
     The anchored variant caches the value matrix of layer 1 on every
     forward pass and pulls each later layer's values toward it with
@@ -139,30 +133,30 @@ def forward(model, x0, *, record_states: bool = False,
     recording the layer, so its trace can be shorter than ``layers + 1``
     records; the other units go on.
     """
-    single = isinstance(model, StackModel)
-    models = [model] if single else list(model)
-    cfg = _shared_config(models)
+    cfg = model.config
+    single = np.ndim(model.w_q) == 3
+    weights = [w[None] if single else w for w in (model.w_q, model.w_k, model.w_v)]
     state = np.asarray(x0, dtype=np.float64)
     if single:
         state = state[None]
-    if state.ndim != 3 or state.shape[0] != len(models) or state.shape[2] != cfg.input_dim:
+    units = len(weights[0])
+    if state.ndim != 3 or state.shape[0] != units or state.shape[2] != cfg.input_dim:
         raise ValueError(
             f"input shape {np.shape(x0)} does not match input_dim {cfg.input_dim}"
-            + ("" if single else f" and {len(models)} models")
+            + ("" if single else f" and {units} seeds")
         )
 
-    traces = [DynamicsTrace() for _ in models]
-    output = np.empty((len(models), state.shape[1], cfg.value_dim))
-    active = np.arange(len(models))
+    traces = [DynamicsTrace() for _ in range(units)]
+    output = np.empty((units, state.shape[1], cfg.value_dim))
+    active = np.arange(units)
     live = traces
     first_layer_values = None
     lam = cfg.lambda_tilde if cfg.variant == "neutreno" else 0.0
     for index in range(cfg.layers):
-        # this layer's weights of the active units, each transposed to
-        # (S, input_dim, rows): state @ w is x @ w.T for every unit
-        w_q, w_k, w_v = (np.stack([getattr(models[unit], name)[index]
-                                   for unit in active]).swapaxes(-1, -2)
-                         for name in ("w_q", "w_k", "w_v"))
+        # this layer's weights of the active units, a fresh C-ordered
+        # (S, rows, input_dim) copy each, transposed: state @ w is x @ w.T
+        # for every unit
+        w_q, w_k, w_v = (w[active, index].swapaxes(-1, -2) for w in weights)
         q = state @ w_q
         k = q if cfg.variant == "symmetric" else state @ w_k
         v = state @ w_v
@@ -183,9 +177,11 @@ def forward(model, x0, *, record_states: bool = False,
             # recorded as data, not raised
             kernel = np.exp(scores, out=scores)
         if index == 0:
-            _append_records(live, state[:, None], kernel[:, None], overflow_bound, record_states)
+            _append_records(live, state[:, None], kernel[:, None], DEFAULT_OVERFLOW_BOUND,
+                            record_states)
         state = out + state if cfg.residual else out
-        _append_records(live, state[:, None], kernel[:, None], overflow_bound, record_states)
+        _append_records(live, state[:, None], kernel[:, None], DEFAULT_OVERFLOW_BOUND,
+                        record_states)
         # release the kernel before the next layer forms its scores
         del scores, kernel
         # a unit stops before its score products can overflow to

@@ -244,10 +244,9 @@ def test_criterion_07_zero_anchor_weight_degeneracy(tmp_path):
 
 def _stack_trace(seed: int, variant: str, lam: float):
     config = StackConfig(layers=12, input_dim=8, key_dim=8, value_dim=8,
-                         variant=variant, lambda_tilde=lam, residual=False,
-                         seed=seed)
+                         variant=variant, lambda_tilde=lam, residual=False)
     x0 = substream(seed, 1).normal(size=(16, 8))
-    _, trace = forward(init_stack(config), x0)
+    _, trace = forward(init_stack(config, seed), x0)
     return trace
 
 

@@ -144,12 +144,14 @@ class TestStackCommand:
         assert spy.call_count == 3
 
     def test_weights_drawn_once_per_seed(self, tmp_path):
-        """The baseline and every anchor weight run on the same models."""
+        """One call draws every seed's weights, and the baseline and every
+        anchor weight run on them."""
         spy = mock.Mock(wraps=stack.init_stack)
         with mock.patch.object(stack, "init_stack", spy):
             assert main(["stack", "--variant", "neutreno", "--n-seeds", "3",
                          "--lambda-sweep", "0.2,0.6", "--out", str(tmp_path / "s")]) == 0
-        assert spy.call_count == 3
+        assert spy.call_count == 1
+        assert len(spy.call_args.args[1]) == 3
 
     def test_overflowing_scores_name_the_unit(self, tmp_path, capsys):
         # the error line is all that reaches stderr: no overflow warning
@@ -536,6 +538,22 @@ def test_zero_size_is_a_config_error(tmp_path, capsys, argv, key):
     out = tmp_path / "z"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {key} must be positive, got 0\n"
+    assert not out.exists()
+
+
+# so is any other bad count or scale
+@pytest.mark.parametrize("argv, message", [
+    (["dynamics", "--steps", "0"], "steps must be at least 1, got 0"),
+    (["randomwalk", "--walk-steps", "-1"], "steps must be nonnegative, got -1"),
+    (["randomwalk", "--n-samples", "0"], "need at least one sample, got 0"),
+    (["randomwalk", "--limit-steps", "-1"], "steps must be nonnegative, got -1"),
+    (["stack", "--layers", "0"], "need at least one layer, got 0"),
+    (["stack", "--init-scale", "0"], "init_scale must be positive, got 0.0"),
+])
+def test_bad_value_is_a_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "z"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

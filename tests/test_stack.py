@@ -24,9 +24,11 @@ VARIANT_LAMBDAS = [("softmax", 0.0), ("symmetric", 0.0),
 
 WEIGHTS = ("w_q", "w_k", "w_v")
 
+SEED = 7
+
 
 def make_config(**overrides):
-    base = dict(layers=4, input_dim=6, key_dim=5, value_dim=6, seed=7)
+    base = dict(layers=4, input_dim=6, key_dim=5, value_dim=6)
     base.update(overrides)
     return StackConfig(**base)
 
@@ -38,21 +40,21 @@ def project(x, w):
 
 class TestInitStack:
     def test_deterministic(self):
-        a = init_stack(make_config())
-        b = init_stack(make_config())
+        a = init_stack(make_config(), SEED)
+        b = init_stack(make_config(), SEED)
         for name in WEIGHTS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_variants_share_weights_for_same_seed(self):
-        plain = init_stack(make_config(variant="softmax"))
+        plain = init_stack(make_config(variant="softmax"), SEED)
         for variant in ("symmetric", "neutreno"):
-            other = init_stack(make_config(variant=variant, lambda_tilde=0.6))
+            other = init_stack(make_config(variant=variant, lambda_tilde=0.6), SEED)
             for name in WEIGHTS:
                 np.testing.assert_array_equal(getattr(plain, name), getattr(other, name))
 
     def test_model_checks_weight_shapes_against_config(self):
         config = make_config()
-        model = init_stack(config)
+        model = init_stack(config, SEED)
         assert model.w_q.shape == model.w_k.shape == (4, 5, 6)
         assert model.w_v.shape == (4, 6, 6)
         weights = {name: getattr(model, name) for name in WEIGHTS}
@@ -60,6 +62,32 @@ class TestInitStack:
                           ("w_v", np.zeros((4, 6, 5)))]:
             with pytest.raises(ValueError, match=name):
                 StackModel(config, **{**weights, name: bad})
+
+    def test_seed_sequence_stacks_the_single_seed_draws(self):
+        config = make_config()
+        seeds = [3, 7, 2**40, 3]
+        model = init_stack(config, seeds)
+        for name in WEIGHTS:
+            weights = getattr(model, name)
+            assert weights.shape == (len(seeds), *getattr(init_stack(config, 0), name).shape)
+            for unit, seed in enumerate(seeds):
+                np.testing.assert_array_equal(weights[unit],
+                                              getattr(init_stack(config, seed), name))
+
+    def test_model_rejects_disagreeing_seed_axes(self):
+        config = make_config()
+        model = init_stack(config, [1, 2, 3])
+        weights = {name: getattr(model, name) for name in WEIGHTS}
+        for name in WEIGHTS:
+            for bad in (weights[name][:2], weights[name][0]):
+                with pytest.raises(ValueError, match="seed axes"):
+                    StackModel(config, **{**weights, name: bad})
+        with pytest.raises(ValueError, match="w_q shape"):
+            StackModel(config, **{name: w[None] for name, w in weights.items()})
+
+    def test_rejects_empty_seed_list(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            init_stack(make_config(), [])
 
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ValueError):
@@ -75,7 +103,7 @@ class TestInitStack:
 
     def test_single_layer_may_change_width(self):
         config = make_config(layers=1, value_dim=3)
-        model = init_stack(config)
+        model = init_stack(config, SEED)
         out, _ = forward(model, np.random.default_rng(1).normal(size=(4, 6)))
         assert out.shape == (4, 3)
 
@@ -83,7 +111,7 @@ class TestInitStack:
 class TestForward:
     def test_single_layer_softmax_is_plain_attention(self):
         config = make_config(layers=1)
-        model = init_stack(config)
+        model = init_stack(config, SEED)
         x0 = np.random.default_rng(2).normal(size=(5, 6))
         out, trace = forward(model, x0)
         q, k, v = (project(x0, getattr(model, name)[0]) for name in WEIGHTS)
@@ -95,7 +123,7 @@ class TestForward:
         # a symmetric model is a softmax model whose key weights are its
         # query weights
         x0 = np.random.default_rng(9).normal(size=(7, 6))
-        symmetric = init_stack(make_config(variant="symmetric", residual=residual))
+        symmetric = init_stack(make_config(variant="symmetric", residual=residual), SEED)
         tied = replace(symmetric, config=replace(symmetric.config, variant="softmax"),
                        w_k=symmetric.w_q)
         sym_out, sym_trace = forward(symmetric, x0, record_states=True)
@@ -109,9 +137,9 @@ class TestForward:
 
     def test_zero_lambda_neutreno_matches_softmax_bitwise(self):
         x0 = np.random.default_rng(3).normal(size=(6, 6))
-        plain_out, plain_trace = forward(init_stack(make_config(variant="softmax")), x0)
+        plain_out, plain_trace = forward(init_stack(make_config(variant="softmax"), SEED), x0)
         anchored_out, anchored_trace = forward(
-            init_stack(make_config(variant="neutreno", lambda_tilde=0.0)), x0
+            init_stack(make_config(variant="neutreno", lambda_tilde=0.0), SEED), x0
         )
         np.testing.assert_array_equal(plain_out, anchored_out)
         for a, b in zip(plain_trace, anchored_trace):
@@ -120,7 +148,7 @@ class TestForward:
 
     def test_deterministic_forward(self):
         x0 = np.random.default_rng(4).normal(size=(5, 6))
-        model = init_stack(make_config(variant="neutreno", lambda_tilde=0.6))
+        model = init_stack(make_config(variant="neutreno", lambda_tilde=0.6), SEED)
         out1, _ = forward(model, x0)
         out2, _ = forward(model, x0)
         np.testing.assert_array_equal(out1, out2)
@@ -131,20 +159,20 @@ class TestForward:
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(7, 6))
         perm = rng.permutation(7)
-        model = init_stack(make_config(variant=variant, lambda_tilde=lam))
+        model = init_stack(make_config(variant=variant, lambda_tilde=lam), SEED)
         base, _ = forward(model, x0)
         permuted, _ = forward(model, x0[perm])
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_residual_changes_output(self):
         x0 = np.random.default_rng(6).normal(size=(4, 6))
-        off, _ = forward(init_stack(make_config()), x0)
-        on, _ = forward(init_stack(make_config(residual=True)), x0)
+        off, _ = forward(init_stack(make_config(), SEED), x0)
+        on, _ = forward(init_stack(make_config(residual=True), SEED), x0)
         assert np.any(off != on)
 
     def test_trace_metrics_present_per_layer(self):
         x0 = np.random.default_rng(8).normal(size=(5, 6))
-        _, trace = forward(init_stack(make_config(layers=3)), x0)
+        _, trace = forward(init_stack(make_config(layers=3), SEED), x0)
         assert [rec.step for rec in trace] == [0, 1, 2, 3]
         for rec in trace:
             assert np.isfinite(rec.j_value)
@@ -153,7 +181,7 @@ class TestForward:
             assert not rec.diverged
 
     def test_input_shape_checked(self):
-        model = init_stack(make_config())
+        model = init_stack(make_config(), SEED)
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 5)))
 
@@ -228,7 +256,7 @@ class TestForwardMatchesReference:
     def test_variants(self, variant, lam, residual):
         x0 = np.random.default_rng(20).normal(size=(9, 6))
         model = init_stack(make_config(layers=6, variant=variant, lambda_tilde=lam,
-                                       residual=residual))
+                                       residual=residual), SEED)
         assert_matches_reference(model, x0)
 
     @pytest.mark.parametrize("layers", [60, 300])
@@ -237,9 +265,9 @@ class TestForwardMatchesReference:
     def test_overflowing_residual_stack(self, variant, lam, layers):
         config = StackConfig(layers=layers, input_dim=8, key_dim=8, value_dim=8,
                              variant=variant, lambda_tilde=lam, residual=True,
-                             seed=3, init_scale=5.0)
+                             init_scale=5.0)
         x0 = np.random.default_rng(21).normal(size=(16, 8))
-        trace = assert_matches_reference(init_stack(config), x0)
+        trace = assert_matches_reference(init_stack(config, 3), x0)
         # the state passes the overflow bound and saturates the kernel to
         # inf (non-finite energies) within 60 layers; past 1e150, about 220
         # layers in, the run stops early
@@ -254,7 +282,7 @@ class TestForwardMatchesReference:
         rng = np.random.default_rng(26)
         for _ in range(10):
             n, d = int(rng.integers(2, 40)), int(rng.integers(8, 40))
-            model = init_stack(make_config(layers=2, input_dim=d, value_dim=d))
+            model = init_stack(make_config(layers=2, input_dim=d, value_dim=d), SEED)
             x0 = np.asfortranarray(rng.normal(size=(n, d)))
             _, trace = forward(model, x0, record_states=True)
             q, k = project(x0, model.w_q[0]), project(x0, model.w_k[0])
@@ -264,7 +292,7 @@ class TestForwardMatchesReference:
 
     @pytest.mark.parametrize("variant", stack.VARIANTS)
     def test_scores_computed_once_per_layer(self, variant):
-        model = init_stack(make_config(layers=5, variant=variant, lambda_tilde=0.6))
+        model = init_stack(make_config(layers=5, variant=variant, lambda_tilde=0.6), SEED)
         x0 = np.random.default_rng(22).normal(size=(7, 6))
         spy = mock.Mock(wraps=attention.scaled_scores)
         with mock.patch.object(attention, "scaled_scores", spy), \
@@ -273,18 +301,24 @@ class TestForwardMatchesReference:
         assert spy.call_count == 5
 
 
-def unit_models(units, **config):
-    """One model per unit, sharing ``config`` apart from the seed."""
-    return [init_stack(StackConfig(seed=100 + unit, **config)) for unit in range(units)]
+def ensemble(units, **config):
+    """A model of ``units`` seeds under ``config``."""
+    return init_stack(StackConfig(**config), [100 + unit for unit in range(units)])
 
 
-def assert_batch_matches_units(models, x0):
-    """The batched ``forward`` equals a loop of 2-D calls, bit for bit, in
-    the output and every trace field (NaN equals NaN)."""
-    out, traces = forward(models, x0, record_states=True)
-    assert out.shape[0] == len(traces) == len(models)
-    for model, x, unit_out, trace in zip(models, x0, out, traces):
-        ref_out, ref_trace = forward(model, x, record_states=True)
+def unit_model(model, unit):
+    """Seed ``unit`` of an ensemble as a model of its own."""
+    return StackModel(model.config, model.w_q[unit], model.w_k[unit], model.w_v[unit])
+
+
+def assert_batch_matches_units(model, x0):
+    """The batched ``forward`` equals a loop of 2-D calls on the units of
+    ``model``, bit for bit, in the output and every trace field (NaN
+    equals NaN)."""
+    out, traces = forward(model, x0, record_states=True)
+    assert out.shape[0] == len(traces) == len(model.w_q)
+    for unit, (x, unit_out, trace) in enumerate(zip(x0, out, traces)):
+        ref_out, ref_trace = forward(unit_model(model, unit), x, record_states=True)
         np.testing.assert_array_equal(unit_out, ref_out)
         assert len(trace) == len(ref_trace)
         for rec, ref in zip(trace, ref_trace):
@@ -297,9 +331,9 @@ def assert_batch_matches_units(models, x0):
 
 
 class TestBatchedForward:
-    """``forward`` over S units of (N, D) tokens is the 2-D path run on a
-    stack: batched ``@`` makes one product per unit, so every bit must
-    match the unit run alone."""
+    """``forward`` over S seed units of (N, D) tokens is the 2-D path run
+    on a stack: batched ``@`` makes one product per unit, so every bit
+    must match the unit run alone."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -313,27 +347,27 @@ class TestBatchedForward:
     )
     def test_matches_unit_loop(self, units, n, d, key_dim, variant_lam, residual, seed):
         variant, lam = variant_lam
-        models = unit_models(units, layers=4, input_dim=d, key_dim=key_dim, value_dim=d,
-                             variant=variant, lambda_tilde=lam, residual=residual)
+        model = ensemble(units, layers=4, input_dim=d, key_dim=key_dim, value_dim=d,
+                         variant=variant, lambda_tilde=lam, residual=residual)
         x0 = np.random.default_rng(seed).normal(size=(units, n, d))
-        assert_batch_matches_units(models, x0)
+        assert_batch_matches_units(model, x0)
 
     def test_units_stop_at_different_layers(self):
-        models = unit_models(4, layers=300, input_dim=8, key_dim=8, value_dim=8,
-                             variant="neutreno", lambda_tilde=0.6, residual=True,
-                             init_scale=5.0)
+        model = ensemble(4, layers=300, input_dim=8, key_dim=8, value_dim=8,
+                         variant="neutreno", lambda_tilde=0.6, residual=True,
+                         init_scale=5.0)
         x0 = np.random.default_rng(23).normal(size=(4, 16, 8))
-        traces = assert_batch_matches_units(models, x0)
+        traces = assert_batch_matches_units(model, x0)
         lengths = [len(trace) for trace in traces]
         assert max(lengths) < 301
         assert len(set(lengths)) > 1
         assert all(trace.diverged for trace in traces)
 
     def test_zero_row_gives_nan_cosine_in_its_unit_only(self):
-        models = [init_stack(make_config(seed=seed)) for seed in (1, 2, 3)]
+        model = init_stack(make_config(), [1, 2, 3])
         x0 = np.random.default_rng(24).normal(size=(3, 5, 6))
         x0[1, 2] = 0.0
-        traces = assert_batch_matches_units(models, x0)
+        traces = assert_batch_matches_units(model, x0)
         assert math.isnan(traces[1][0].mean_cosine)
         assert not math.isnan(traces[0][0].mean_cosine)
         assert not math.isnan(traces[2][0].mean_cosine)
@@ -341,11 +375,11 @@ class TestBatchedForward:
 
     def test_zero_lambda_matches_softmax_bitwise(self):
         x0 = np.random.default_rng(25).normal(size=(5, 6, 6))
-        plain_out, plain = forward(unit_models(5, layers=4, input_dim=6, key_dim=5,
-                                               value_dim=6), x0)
+        plain_out, plain = forward(ensemble(5, layers=4, input_dim=6, key_dim=5,
+                                            value_dim=6), x0)
         anchored_out, anchored = forward(
-            unit_models(5, layers=4, input_dim=6, key_dim=5, value_dim=6,
-                        variant="neutreno", lambda_tilde=0.0), x0)
+            ensemble(5, layers=4, input_dim=6, key_dim=5, value_dim=6,
+                     variant="neutreno", lambda_tilde=0.0), x0)
         np.testing.assert_array_equal(plain_out, anchored_out)
         for a_trace, b_trace in zip(plain, anchored):
             for a, b in zip(a_trace, b_trace):
@@ -359,37 +393,25 @@ class TestBatchedForward:
         # active unit
         config = StackConfig(layers=60, input_dim=2, key_dim=2, value_dim=2,
                              residual=True)
-        eye = np.eye(2)
-
-        def model(w_qk, w_v):
-            w_qk, w_v = (np.broadcast_to(w * eye, (config.layers, 2, 2)) for w in (w_qk, w_v))
-            return StackModel(config, w_qk, w_qk, w_v)
-
-        models = [model(0.0, 1e100), model(1e100, 10.0)]
+        # each unit's weights are scales of the identity: (w_qk, w_v) per unit
+        scales = np.array([(0.0, 1e100), (1e100, 10.0)])
+        w_qk, w_v = (np.broadcast_to(scale[:, None, None, None] * np.eye(2),
+                                     (2, config.layers, 2, 2)) for scale in scales.T)
+        model = StackModel(config, w_qk, w_qk, w_v)
         with pytest.raises(ValueError, match="of scores of unit 1"), \
                 np.errstate(over="ignore"):
-            forward(models, np.ones((2, 3, 2)))
-        _, trace = forward(models[0], np.ones((3, 2)))
+            forward(model, np.ones((2, 3, 2)))
+        _, trace = forward(unit_model(model, 0), np.ones((3, 2)))
         assert len(trace) == 3
 
     def test_rejects_mismatched_unit_count(self):
-        models = [init_stack(make_config(seed=seed)) for seed in (1, 2)]
-        with pytest.raises(ValueError, match="2 models"):
-            forward(models, np.zeros((3, 4, 6)))
+        model = init_stack(make_config(), [1, 2])
+        with pytest.raises(ValueError, match="2 seeds"):
+            forward(model, np.zeros((3, 4, 6)))
         with pytest.raises(ValueError):
-            forward(models, np.zeros((4, 6)))
-
-    @pytest.mark.parametrize("change", [dict(lambda_tilde=0.6), dict(residual=True),
-                                        dict(init_scale=2.0), dict(layers=3)])
-    def test_rejects_configs_that_differ_beyond_the_seed(self, change):
-        models = [init_stack(make_config(variant="neutreno", seed=1)),
-                  init_stack(make_config(variant="neutreno", seed=2, **change))]
-        with pytest.raises(ValueError, match="apart from the seed"):
-            forward(models, np.zeros((2, 4, 6)))
-
-    def test_rejects_empty_model_list(self):
+            forward(model, np.zeros((4, 6)))
         with pytest.raises(ValueError):
-            forward([], np.zeros((0, 4, 6)))
+            forward(unit_model(model, 0), np.zeros((2, 4, 6)))
 
 
 @pytest.mark.parametrize("n, d, arrays", [(512, 64, 4), (1024, 8, 3)])
@@ -400,7 +422,7 @@ def test_forward_holds_few_score_sized_arrays(n, d, arrays):
     # and projections are small next to an 8 MiB score matrix, so one more
     # live score-sized array anywhere in the pass breaks the bound.
     model = init_stack(StackConfig(layers=2, input_dim=d, key_dim=d, value_dim=d,
-                                   variant="neutreno", lambda_tilde=0.6, seed=3))
+                                   variant="neutreno", lambda_tilde=0.6), 3)
     x0 = np.random.default_rng(41).normal(size=(n, d))
     tracemalloc.start()
     try:
@@ -422,11 +444,11 @@ class TestSmoothingTendency:
         for seed in seeds:
             x0 = np.random.default_rng((seed, 1)).normal(size=(16, 8))
             plain_cfg = StackConfig(layers=12, input_dim=8, key_dim=8, value_dim=8,
-                                    variant="softmax", seed=seed)
+                                    variant="softmax")
             anchored_cfg = StackConfig(layers=12, input_dim=8, key_dim=8, value_dim=8,
-                                       variant="neutreno", lambda_tilde=0.6, seed=seed)
-            _, plain = forward(init_stack(plain_cfg), x0)
-            _, anchored = forward(init_stack(anchored_cfg), x0)
+                                       variant="neutreno", lambda_tilde=0.6)
+            _, plain = forward(init_stack(plain_cfg, seed), x0)
+            _, anchored = forward(init_stack(anchored_cfg, seed), x0)
             if plain.final.mean_cosine > anchored.final.mean_cosine:
                 wins += 1
             if plain.final.mean_cosine >= plain[1].mean_cosine:

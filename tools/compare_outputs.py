@@ -110,6 +110,11 @@ COMMANDS = {
     "dynamics-tokens-empty": ["dynamics", "--tokens", "tokens.ntt"],
     "randomwalk-keys-empty": ["randomwalk", "--keys", "keys.ntt"],
     "dynamics-tokens-no-columns": ["dynamics", "--tokens", "tokens.ntt"],
+    # bad counts, caught before --out is made (exit 2); a missing --out and
+    # an empty one compare equal
+    "dynamics-zero-steps": ["dynamics", "--steps", "0"],
+    "randomwalk-zero-samples": ["randomwalk", "--n-samples", "0"],
+    "stack-zero-layers": ["stack", "--layers", "0"],
 }
 
 
