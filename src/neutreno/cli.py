@@ -91,7 +91,11 @@ def _json_bytes(payload: dict) -> bytes:
 
 def _write_files(files) -> None:
     """Write each ``(path, bytes)`` of ``files`` in order, stopping at the
-    first failure: one plain create, write and close per file."""
+    first failure: one plain create, write and close per file.  Their
+    directories are made first, so a run makes ``--out`` at its first
+    write and a run that fails before it leaves none."""
+    for directory in {path.parent for path, _ in files}:
+        directory.mkdir(parents=True, exist_ok=True)
     for path, data in files:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
@@ -181,40 +185,40 @@ def _require_positive(cfg: dict, *keys: str) -> None:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
 
 
+def _load_matrix(path: str, kind: str) -> np.ndarray:
+    """The tensor in file ``path``, which must be 2-D with at least one row
+    and one column; ``kind`` names the file in the error."""
+    a = load_tensor(path)
+    if a.ndim != 2:
+        raise ConfigError(f"{kind} file must be 2-D, got shape {a.shape}")
+    if not a.shape[0]:
+        raise ConfigError(f"{kind} file has no rows, got shape {a.shape}")
+    if not a.shape[1]:
+        raise ConfigError(f"{kind} file has no columns, got shape {a.shape}")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
 
 def cmd_dynamics(cfg, out: Path) -> list[str]:
-    if cfg["variant"] not in ("softmax", "neutreno"):
-        raise ConfigError(
-            f"dynamics variant must be softmax or neutreno, got {cfg['variant']!r}"
-        )
     if cfg["tokens_path"]:
-        v0 = load_tensor(cfg["tokens_path"])
-        if v0.ndim != 2:
-            raise ConfigError(f"tokens file must be 2-D, got shape {v0.shape}")
-        if not v0.shape[0]:
-            raise ConfigError(f"tokens file has no rows, got shape {v0.shape}")
-        if not v0.shape[1]:
-            raise ConfigError(f"tokens file has no columns, got shape {v0.shape}")
+        v0 = _load_matrix(cfg["tokens_path"], "tokens")
         n = v0.shape[0]
     else:
         _require_positive(cfg, "n", "dim")
         n = cfg["n"]
         v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
-    if cfg["steps"] < 1:
-        raise ConfigError(f"steps must be at least 1, got {cfg['steps']}")
-    out.mkdir(parents=True, exist_ok=True)
     keys = substream(cfg["seed"], 0).normal(scale=KEY_SCALE, size=(n, cfg["key_dim"]))
     transition = attention_matrix(keys, keys)
 
     if cfg["variant"] == "neutreno":
-        _warn_lambda(cfg["lambda_tilde"])
         trace = dynamics.run_neutreno_dynamics(
             v0, v0, transition, cfg["lambda_tilde"], cfg["steps"],
             overflow_bound=cfg["overflow_bound"],
         )
+        _warn_lambda(cfg["lambda_tilde"])  # after the run, so a bad value prints only its error
     else:
         trace = dynamics.run_plain_dynamics(
             v0, transition, cfg["steps"], overflow_bound=cfg["overflow_bound"]
@@ -242,15 +246,7 @@ def _stack_traces(model, variant: str, lam: float, x0) -> list:
 
 
 def cmd_stack(cfg, out: Path) -> list[str]:
-    if cfg["variant"] not in stack.VARIANTS:
-        raise ConfigError(f"unknown stack variant {cfg['variant']!r}")
     _require_positive(cfg, "n_seeds", "n")
-
-    # each unit's input and weights are drawn once, unit u's weights from
-    # mix_seed(seed, u, 0); every variant, so every pass, shares them
-    units = range(cfg["n_seeds"])
-    x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
-                   for unit in units])
     config = stack.StackConfig(
         layers=cfg["layers"],
         input_dim=cfg["input_dim"],
@@ -259,8 +255,13 @@ def cmd_stack(cfg, out: Path) -> list[str]:
         residual=cfg["residual"],
         init_scale=cfg["init_scale"],
     )
+
+    # each unit's input and weights are drawn once, unit u's weights from
+    # mix_seed(seed, u, 0); every variant, so every pass, shares them
+    units = range(cfg["n_seeds"])
+    x0 = np.stack([substream(cfg["seed"], unit, 1).normal(size=(cfg["n"], cfg["input_dim"]))
+                   for unit in units])
     model = stack.init_stack(config, [mix_seed(cfg["seed"], unit, 0) for unit in units])
-    out.mkdir(parents=True, exist_ok=True)
 
     sweep = cfg["lambda_sweep"] or [cfg["lambda_tilde"]]
     if cfg["variant"] == "neutreno":  # the only variant that reads the anchor weight
@@ -429,8 +430,6 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
 
 
 def cmd_randomwalk(cfg, out: Path) -> list[str]:
-    if cfg["kernel"] not in ("symmetric", "asymmetric"):
-        raise ConfigError(f"kernel must be symmetric or asymmetric, got {cfg['kernel']!r}")
     if not (cfg["keys_path"] or cfg["transition_path"]):
         _require_positive(cfg, "n")
     _require_positive(cfg, "dim")
@@ -444,11 +443,7 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
         symmetric_kernel = False
     else:
         if cfg["keys_path"]:
-            keys = load_tensor(cfg["keys_path"])
-            if keys.ndim != 2:
-                raise ConfigError(f"keys file must be 2-D, got shape {keys.shape}")
-            if not keys.shape[0]:
-                raise ConfigError(f"keys file has no rows, got shape {keys.shape}")
+            keys = _load_matrix(cfg["keys_path"], "keys")
         else:
             keys = substream(cfg["seed"], 0).normal(
                 scale=KEY_SCALE, size=(cfg["n"], cfg["key_dim"])
@@ -463,14 +458,14 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
             symmetric_kernel = True
 
     v0 = substream(cfg["seed"], 1).normal(size=(n, cfg["dim"]))
-    if not 0 <= cfg["start"] < n:
-        raise ConfigError(f"start index {cfg['start']} out of range for {n} states")
-    if cfg["n_samples"] < 1:
-        raise ConfigError(f"need at least one sample, got {cfg['n_samples']}")
-    for key in ("walk_steps", "limit_steps"):
-        if cfg[key] < 0:
-            raise ConfigError(f"steps must be nonnegative, got {cfg[key]}")
-    out.mkdir(parents=True, exist_ok=True)
+    # the walk and the iterations check the start, the sample count and the
+    # steps, so a bad value is an error even for a chain that does not converge
+    k = cfg["walk_steps"]
+    stats = random_walk.walk_sample_stats(
+        v0, transition, k, cfg["start"], cfg["n_samples"], cfg["seed"]
+    )
+    expected = random_walk.iterate_state(v0, transition, k)[cfg["start"]]
+    final = random_walk.iterate_state(v0, transition, cfg["limit_steps"])
 
     try:
         pi_power = random_walk.stationary_power_iteration(transition, tol=1e-12)
@@ -504,11 +499,6 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
                 f"stationary methods disagree by {agreement:.3e} (above 1e-9)"
             )
 
-    k = cfg["walk_steps"]
-    stats = random_walk.walk_sample_stats(
-        v0, transition, k, cfg["start"], cfg["n_samples"], cfg["seed"]
-    )
-    expected = random_walk.iterate_state(v0, transition, k)[cfg["start"]]
     deviation = np.abs(stats.mean - expected)
     band = 4.0 * stats.stderr
     within = bool(np.all(deviation <= band))
@@ -516,7 +506,6 @@ def cmd_randomwalk(cfg, out: Path) -> list[str]:
         failures.append("Monte-Carlo walk mean outside the 4-standard-error band")
 
     limit = random_walk.limit_vector(pi_power, v0)
-    final = random_walk.iterate_state(v0, transition, cfg["limit_steps"])
     limit_distance = float(np.abs(final - limit[None, :]).max())
     if limit_distance > cfg["tol"]:
         failures.append(
@@ -562,8 +551,7 @@ def _rel_error(analytic: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def cmd_gradcheck(cfg, out: Path) -> list[str]:
-    _require_positive(cfg, "n", "dim")
-    out.mkdir(parents=True, exist_ok=True)
+    _require_positive(cfg, "n", "dim", "instances")
 
     worst_j = 0.0
     worst_g = 0.0
@@ -742,8 +730,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "tensor":
             return cmd_tensor(args)
-        schema, run, *_ = COMMANDS[args.command]
-        failures = run(_resolve(schema, args), Path(args.out))
+        schema, run, _, extras = COMMANDS[args.command]
+        cfg = _resolve(schema, args)
+        # a config file value skips argparse's choices
+        for key, extra in extras.items():
+            if "choices" in extra and cfg[key] not in extra["choices"]:
+                raise ConfigError(
+                    f"{key} must be one of {', '.join(extra['choices'])}, got {cfg[key]!r}")
+        failures = run(cfg, Path(args.out))
         if failures:
             print(json.dumps({"failed_checks": failures}), file=sys.stderr)
             return 1

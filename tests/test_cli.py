@@ -19,6 +19,10 @@ from neutreno.config import coerce
 from neutreno.tensorfile import save_tensor
 
 
+# a nearly periodic two-state chain: its power iteration does not converge
+PERIODIC = np.array([[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]])
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -237,7 +241,7 @@ def run_on_cpus(cpus, argv, out, capsys, write_delay=0.0, pass_delay=0.0):
         write_files(files)
 
     def print_spy(*args, **kwargs):
-        printed.append({p.name for p in out.iterdir()})
+        printed.append({p.name for p in out.iterdir()} if out.is_dir() else set())
         real_print(*args, **kwargs)
 
     threads = threading.active_count()
@@ -446,7 +450,7 @@ class TestRandomwalkCommand:
         # a nearly periodic two-state chain: the power iteration's residual
         # stalls near 7e-7
         matrix = tmp_path / "periodic.ntt"
-        save_tensor(matrix, np.array([[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]]))
+        save_tensor(matrix, PERIODIC)
         out = tmp_path / "run"
         assert main(["randomwalk", "--transition", str(matrix), "--out", str(out),
                      "--n-samples", "1000"]) == 1
@@ -456,6 +460,7 @@ class TestRandomwalkCommand:
         assert reason.startswith("power iteration residual ")
         assert reason.endswith(" after 100000 iterations")
         assert not (out / "randomwalk.json").exists()
+        assert not out.exists()
 
     def test_byte_reproducible(self, tmp_path):
         args = ["randomwalk", "--seed", "8", "--n-samples", "4000"]
@@ -523,8 +528,8 @@ class TestTensorCommand:
         assert "error" in capsys.readouterr().err
 
 
-# a zero size is a config error where the value is used, found before
-# --out is made
+# a zero size is a config error where the value is used; like every run
+# that fails before its first write, it leaves no --out
 @pytest.mark.parametrize("argv, key", [
     (["dynamics", "--n", "0"], "n"),
     (["dynamics", "--dim", "0"], "dim"),
@@ -544,13 +549,21 @@ def test_zero_size_is_a_config_error(tmp_path, capsys, argv, key):
 # so is any other bad count or scale
 @pytest.mark.parametrize("argv, message", [
     (["dynamics", "--steps", "0"], "steps must be at least 1, got 0"),
+    # with no lambda_tilde warning before the error
+    (["dynamics", "--variant", "neutreno", "--lambda-tilde", "2", "--steps", "0"],
+     "steps must be at least 1, got 0"),
     (["randomwalk", "--walk-steps", "-1"], "steps must be nonnegative, got -1"),
     (["randomwalk", "--n-samples", "0"], "need at least one sample, got 0"),
     (["randomwalk", "--limit-steps", "-1"], "steps must be nonnegative, got -1"),
     (["stack", "--layers", "0"], "need at least one layer, got 0"),
     (["stack", "--init-scale", "0"], "init_scale must be positive, got 0.0"),
+    # a bad count is named before the chain is found not to converge
+    (["randomwalk", "--transition", "periodic.ntt", "--walk-steps", "-1"],
+     "steps must be nonnegative, got -1"),
 ])
-def test_bad_value_is_a_config_error(tmp_path, capsys, argv, message):
+def test_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    save_tensor(tmp_path / "periodic.ntt", PERIODIC)
     out = tmp_path / "z"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -569,11 +582,12 @@ def test_unused_size_is_not_checked(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", "run"]) == 0
 
 
-# a file with no rows or no columns is named before --out is made
+# a file with no rows or no columns is named, and leaves no --out
 @pytest.mark.parametrize("argv, kind", [
     (["dynamics", "--tokens", "rows.ntt"], "tokens"),
     (["randomwalk", "--keys", "rows.ntt"], "keys"),
     (["dynamics", "--tokens", "columns.ntt"], "tokens"),
+    (["randomwalk", "--keys", "columns.ntt"], "keys"),
 ])
 def test_zero_row_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
@@ -584,6 +598,40 @@ def test_zero_row_file_is_a_config_error(tmp_path, monkeypatch, capsys, argv, ki
     assert main(argv + ["--out", "run"]) == 2
     assert capsys.readouterr().err == \
         f"error: {kind} file has no {lacks}, got shape {shapes[lacks]}\n"
+    assert not (tmp_path / "run").exists()
+
+
+# --out is made at the first write, so a run that fails before it leaves
+# none, whichever check fails: the library's, a config value outside its
+# choices, or a failed check (exit 1); files with no rows or columns are
+# the cases of test_zero_row_file_is_a_config_error
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["dynamics", "--key-dim", "0"], 2, "error: key dimension must be positive"),
+    (["gradcheck", "--key-dim", "0"], 2, "error: key dimension must be positive"),
+    (["dynamics", "--variant", "neutreno", "--lambda-tilde", "-1"], 2,
+     "error: lam_tilde must be nonnegative, got -1.0"),
+    (["gradcheck", "--n", "1"], 2,
+     "error: all rows have zero gradient estimates; alignment is undefined"),
+    (["gradcheck", "--instances", "0"], 2, "error: instances must be positive, got 0"),
+    (["gradcheck", "--instances", "-3"], 2, "error: instances must be positive, got -3"),
+    (["stack", "--input-dim", "-1"], 2, "error: input_dim must be positive, got -1"),
+    (["randomwalk", "--transition", "periodic.ntt", "--n-samples", "1000"], 1,
+     '{"failed_checks": ["power iteration residual 7.408e-07 above tol 1.000e-12 '
+     'after 100000 iterations"]}'),
+    (["dynamics", "--config", "variant.cfg"], 2,
+     "error: variant must be one of softmax, neutreno, got 'bogus'"),
+    (["stack", "--config", "variant.cfg"], 2,
+     "error: variant must be one of softmax, symmetric, neutreno, got 'bogus'"),
+    (["randomwalk", "--config", "kernel.cfg"], 2,
+     "error: kernel must be one of symmetric, asymmetric, got 'bogus'"),
+])
+def test_failed_run_leaves_no_out(tmp_path, monkeypatch, capsys, argv, code, stderr):
+    monkeypatch.chdir(tmp_path)
+    save_tensor(tmp_path / "periodic.ntt", PERIODIC)
+    (tmp_path / "variant.cfg").write_text("variant = bogus\n")
+    (tmp_path / "kernel.cfg").write_text("kernel = bogus\n")
+    assert main(argv + ["--out", "run"]) == code
+    assert capsys.readouterr().err == stderr + "\n"
     assert not (tmp_path / "run").exists()
 
 

@@ -110,11 +110,16 @@ COMMANDS = {
     "dynamics-tokens-empty": ["dynamics", "--tokens", "tokens.ntt"],
     "randomwalk-keys-empty": ["randomwalk", "--keys", "keys.ntt"],
     "dynamics-tokens-no-columns": ["dynamics", "--tokens", "tokens.ntt"],
-    # bad counts, caught before --out is made (exit 2); a missing --out and
-    # an empty one compare equal
+    "randomwalk-keys-no-columns": ["randomwalk", "--keys", "keys.ntt"],
+    # bad values, which leave no --out (exit 2); a missing --out and an
+    # empty one compare equal
     "dynamics-zero-steps": ["dynamics", "--steps", "0"],
     "randomwalk-zero-samples": ["randomwalk", "--n-samples", "0"],
     "stack-zero-layers": ["stack", "--layers", "0"],
+    "dynamics-zero-key-dim": ["dynamics", "--key-dim", "0"],
+    "gradcheck-zero-instances": ["gradcheck", "--instances", "0"],
+    "stack-negative-input-dim": ["stack", "--input-dim", "-1"],
+    "randomwalk-bogus-kernel": ["randomwalk", "--config", "bogus.cfg"],
 }
 
 
@@ -141,6 +146,8 @@ INPUTS = {
     "dynamics-tokens-empty": {"tokens.ntt": tensor_bytes([], 3)},
     "randomwalk-keys-empty": {"keys.ntt": tensor_bytes([], 3)},
     "dynamics-tokens-no-columns": {"tokens.ntt": tensor_bytes([[], [], []])},
+    "randomwalk-keys-no-columns": {"keys.ntt": tensor_bytes([[], [], []])},
+    "randomwalk-bogus-kernel": {"bogus.cfg": b"kernel = bogus\n"},
 }
 
 DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
