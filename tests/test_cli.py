@@ -549,9 +549,6 @@ def test_zero_size_is_a_config_error(tmp_path, capsys, argv, key):
 # so is any other bad count or scale
 @pytest.mark.parametrize("argv, message", [
     (["dynamics", "--steps", "0"], "steps must be at least 1, got 0"),
-    # with no lambda_tilde warning before the error
-    (["dynamics", "--variant", "neutreno", "--lambda-tilde", "2", "--steps", "0"],
-     "steps must be at least 1, got 0"),
     (["randomwalk", "--walk-steps", "-1"], "steps must be nonnegative, got -1"),
     (["randomwalk", "--n-samples", "0"], "need at least one sample, got 0"),
     (["randomwalk", "--limit-steps", "-1"], "steps must be nonnegative, got -1"),
@@ -560,6 +557,9 @@ def test_zero_size_is_a_config_error(tmp_path, capsys, argv, key):
     # a bad count is named before the chain is found not to converge
     (["randomwalk", "--transition", "periodic.ntt", "--walk-steps", "-1"],
      "steps must be nonnegative, got -1"),
+    # with no lambda_tilde warning before the error
+    (["dynamics", "--variant", "neutreno", "--lambda-tilde", "2", "--steps", "0"],
+     "steps must be at least 1, got 0"),
 ])
 def test_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
