@@ -128,7 +128,6 @@ DYNAMICS_SCHEMA = {
     "overflow_bound": (float, dynamics.DEFAULT_OVERFLOW_BOUND),
     "tokens_path": (str, ""),
     "seed": (int, 0),
-    "tol": (float, 1e-8),
 }
 
 STACK_SCHEMA = {
@@ -273,10 +272,8 @@ def cmd_stack(cfg, out: Path) -> list[str]:
     if compare:
         variants += [cfg["variant"]] * len(sweep)
         lams += sweep
-    # writer thread exits before the pool's; the other order cost ~14% peak RSS (glibc arenas)
-    with _stack_passes(model, variants, lams, x0) as passes, \
-            _file_writer() as write:
-        return _write_stack(cfg, out, sweep, compare, passes, write)
+    with _stack_passes(model, variants, lams, x0) as passes:
+        return _write_stack(cfg, out, sweep, compare, passes)
 
 
 def _allowed_cpus() -> int:
@@ -292,23 +289,27 @@ def _stack_passes(model, variants, lams, x0):
     """An iterator over the traces of the passes ``_stack_traces(model,
     variants[i], lams[i], x0)``, in order.
 
-    The passes share no mutable state, so a pool of threads, one per
-    allowed CPU, runs them at once with the bits of a sequential run.
-    When a pass's score stack holds fewer than ``_BLOCK_ENTRIES`` entries,
-    its array operations are too short to release the GIL for long, and
-    the passes run one at a time on the calling thread instead.
+    With two or more allowed CPUs, a pool of threads computes the passes
+    while the calling thread writes the results that have arrived.  The
+    pool has one thread per allowed CPU when a pass's score stack holds
+    at least ``_BLOCK_ENTRIES`` entries, and one thread below that, where
+    numpy's calls are too short to release the GIL for long.  The passes
+    share no mutable state, so they keep the bits of a sequential run, and
+    when the context exits early (a failed pass or write) the passes not
+    yet started never run.  With one allowed CPU the passes run one at a
+    time on the calling thread.
     """
-    workers = min(len(lams), _allowed_cpus())
+    cpus = _allowed_cpus()
     run = partial(_stack_traces, model, x0=x0)
-    if workers < 2 or x0.shape[0] * x0.shape[1] ** 2 < _BLOCK_ENTRIES:
+    if cpus < 2:
         yield map(run, variants, lams)
         return
+    wide = x0.shape[0] * x0.shape[1] ** 2 >= _BLOCK_ENTRIES
     from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(min(len(lams), cpus) if wide else 1)
     try:
         yield pool.map(run, variants, lams)
     finally:
-        # after a failed pass, the passes not yet started never run
         pool.shutdown(cancel_futures=True)
 
 
@@ -318,71 +319,13 @@ def _write_and_print(files, line=None) -> None:
         print(line)
 
 
-@contextmanager
-def _file_writer():
-    """A function ``write(files, line=None)`` with the effect of
-    ``_write_and_print``: write the ``(path, bytes)`` pairs of ``files`` in
-    order, then print ``line``.
-
-    With two or more allowed CPUs, one background thread writes the files,
-    in submission order, while the calling thread goes on.  Each line is
-    printed on the calling thread once its files and every earlier file
-    are written: at a later call, or at the latest when the context
-    exits, after every file is closed and the thread has ended.  After a
-    failed write the thread writes nothing more, and its error is raised
-    on the calling thread; it takes the place of any exception raised
-    after the failed files were handed over.  So the files, the output
-    and the error are those of a sequential run.
-    """
-    if _allowed_cpus() < 2:
-        yield _write_and_print
-        return
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(1)
-    pending = []  # (future, line) in submission order
-    failed = threading.Event()
-
-    def write_batch(files):
-        if failed.is_set():
-            return
-        try:
-            _write_files(files)
-        except BaseException:
-            failed.set()
-            raise
-
-    def drain(block: bool) -> None:
-        while pending and (block or pending[0][0].done()):
-            future, line = pending.pop(0)
-            try:
-                future.result()
-            except BaseException:
-                pending.clear()  # the batches after it were skipped
-                raise
-            if line is not None:
-                print(line)
-
-    def write(files, line=None):
-        pending.append((pool.submit(write_batch, files), line))
-        drain(block=False)
-
-    try:
-        yield write
-    finally:
-        try:
-            drain(block=True)
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[str]:
+def _write_stack(cfg, out: Path, sweep, compare: bool, passes) -> list[str]:
     """Write the baseline pass of ``passes``, then one summary per anchor
-    weight of ``sweep``, taking each compared pass as it arrives, through
-    ``write`` (see ``_file_writer``); return the failed checks."""
+    weight of ``sweep``, taking each compared pass as it arrives; return
+    the failed checks."""
     baseline_traces = next(passes)
-    write([(out / f"stack_softmax_seed{unit}.csv", _trace_csv("layer", trace))
-           for unit, trace in enumerate(baseline_traces)])
+    _write_and_print([(out / f"stack_softmax_seed{unit}.csv", _trace_csv("layer", trace))
+                      for unit, trace in enumerate(baseline_traces)])
     baseline_finals = [_final_values(trace, "baseline_") for trace in baseline_traces]
 
     failures = []
@@ -403,7 +346,7 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
                     wins += 1
             per_seed.append(seed_record)
         if compare:
-            write(csvs)
+            _write_and_print(csvs)
 
         echo_keys = set(STACK_SCHEMA) - {"lambda_sweep", "lambda_tilde", "expect_separation"}
         summary = {
@@ -414,7 +357,7 @@ def _write_stack(cfg, out: Path, sweep, compare: bool, passes, write) -> list[st
             "fraction_below_baseline": (wins / cfg["n_seeds"]) if compare else None,
         }
         name = f"summary_lambda{lam:g}.json" if len(sweep) > 1 else "summary.json"
-        write([(out / name, _json_bytes(summary))], f"wrote {out / name}")
+        _write_and_print([(out / name, _json_bytes(summary))], f"wrote {out / name}")
         if compare and cfg["expect_separation"] >= 0:
             frac = wins / cfg["n_seeds"]
             if frac < cfg["expect_separation"]:
@@ -709,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         _add_flag(p, schema, "seed", help="master seed")
         p.add_argument("--out", default="out", help="output directory")
-        _add_flag(p, schema, "tol", help="primary check tolerance")
+        if "tol" in schema:
+            _add_flag(p, schema, "tol", help="primary check tolerance")
         for key in schema:
             if key not in ("seed", "tol"):
                 _add_flag(p, schema, key, **extras.get(key, {}))

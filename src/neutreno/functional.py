@@ -53,6 +53,26 @@ def _check_weights(w, n_tokens: int) -> np.ndarray:
     return w
 
 
+def _check_anchor(u, anchor, lam: float, name: str = "lam") -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``anchor`` as float64 arrays of one shape, with the anchor
+    weight ``lam`` (called ``name`` in the error) nonnegative."""
+    u = np.asarray(u, dtype=np.float64)
+    f = np.asarray(anchor, dtype=np.float64)
+    if u.shape != f.shape:
+        raise ValueError(f"token shape {u.shape} != anchor shape {f.shape}")
+    if lam < 0:
+        raise ValueError(f"{name} must be nonnegative, got {lam}")
+    return u, f
+
+
+def _check_sums(sums: np.ndarray, line: str, kernel: str) -> None:
+    """Raise unless every entry of ``sums``, the sums of each ``line`` (row
+    or column) of ``kernel``, is positive."""
+    if np.any(sums <= 0):
+        bad = int(np.argwhere(sums <= 0)[0, 0])
+        raise ValueError(f"{line} {bad} of the {kernel} has zero sum")
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Snapshot of the energy split: ``e_value == j_value + g_value``."""
@@ -90,24 +110,14 @@ def nonlocal_energy_grad(u, weights) -> np.ndarray:
 
 def fidelity_energy(u, anchor, lam: float) -> float:
     """Evaluate ``G(u) = lam/2 * sum_i |u_i - f_i|^2`` against anchor ``f``."""
-    u = np.asarray(u, dtype=np.float64)
-    f = np.asarray(anchor, dtype=np.float64)
-    if u.shape != f.shape:
-        raise ValueError(f"token shape {u.shape} != anchor shape {f.shape}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    u, f = _check_anchor(u, anchor, lam)
     d = u - f
     return float(0.5 * lam * (d * d).sum())
 
 
 def fidelity_grad(u, anchor, lam: float) -> np.ndarray:
     """Gradient of the fidelity energy: ``lam * (u - f)`` rowwise."""
-    u = np.asarray(u, dtype=np.float64)
-    f = np.asarray(anchor, dtype=np.float64)
-    if u.shape != f.shape:
-        raise ValueError(f"token shape {u.shape} != anchor shape {f.shape}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    u, f = _check_anchor(u, anchor, lam)
     return lam * (u - f)
 
 
@@ -127,9 +137,7 @@ def adaptive_step_sizes(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     w = _check_weights(w, w.shape[0])
     sums = (w + w.T).sum(axis=1)
-    if np.any(sums <= 0):
-        bad = int(np.argwhere(sums <= 0)[0, 0])
-        raise ValueError(f"row {bad} of the symmetrized kernel has zero sum")
+    _check_sums(sums, "row", "symmetrized kernel")
     return 1.0 / sums
 
 
@@ -151,9 +159,7 @@ def smoothing_step(u, weights) -> np.ndarray:
     w = _check_weights(weights, u.shape[0])
     sym = w + w.T
     sums = sym.sum(axis=1)
-    if np.any(sums <= 0):
-        bad = int(np.argwhere(sums <= 0)[0, 0])
-        raise ValueError(f"row {bad} of the symmetrized kernel has zero sum")
+    _check_sums(sums, "row", "symmetrized kernel")
     return (sym @ u) / sums[:, None]
 
 
@@ -166,12 +172,7 @@ def regularized_step(u, anchor, weights, lam_tilde: float) -> np.ndarray:
     this is exactly the anchored attention update.  ``lam_tilde == 0``
     takes the same code path as ``smoothing_step`` bit for bit.
     """
-    u = np.asarray(u, dtype=np.float64)
-    f = np.asarray(anchor, dtype=np.float64)
-    if u.shape != f.shape:
-        raise ValueError(f"token shape {u.shape} != anchor shape {f.shape}")
-    if lam_tilde < 0:
-        raise ValueError(f"lam_tilde must be nonnegative, got {lam_tilde}")
+    u, f = _check_anchor(u, anchor, lam_tilde, "lam_tilde")
     out = smoothing_step(u, weights)
     if lam_tilde:
         out = out + lam_tilde * (f - u)
@@ -195,12 +196,8 @@ def split_smoothing_step(u, weights) -> np.ndarray:
     w = _check_weights(weights, u.shape[0])
     row_sums = w.sum(axis=1)
     col_sums = w.sum(axis=0)
-    if np.any(row_sums <= 0):
-        bad = int(np.argwhere(row_sums <= 0)[0, 0])
-        raise ValueError(f"row {bad} of the kernel has zero sum")
-    if np.any(col_sums <= 0):
-        bad = int(np.argwhere(col_sums <= 0)[0, 0])
-        raise ValueError(f"column {bad} of the kernel has zero sum")
+    _check_sums(row_sums, "row", "kernel")
+    _check_sums(col_sums, "column", "kernel")
     half = (w @ u) / row_sums[:, None]
     return (w.T @ half) / col_sums[:, None]
 

@@ -90,6 +90,15 @@ class TestDynamicsCommand:
         assert main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "stepz" in capsys.readouterr().err
 
+    def test_tol_is_not_a_dynamics_key(self, tmp_path, capsys):
+        # dynamics checks no tolerance, so it takes no tol key or flag
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("tol = 1e-3\n")
+        out = tmp_path / "x"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: tol\n"
+        assert not out.exists()
+
 
 class TestStackCommand:
     def test_single_layer_two_rows(self, tmp_path):
@@ -224,8 +233,8 @@ def run_on_cpus(cpus, argv, out, capsys, write_delay=0.0, pass_delay=0.0):
     each pass, the thread of each written batch of files, and the names
     under ``out`` as each line was printed.  Each batch waits ``write_delay``
     seconds before it is written and each pass ``pass_delay`` seconds
-    before it runs, so that a background writer falls behind the passes
-    or runs ahead of them.  The run must leave no thread behind.
+    before it runs, so that the writes fall behind the pooled passes or
+    run ahead of them.  The run must leave no thread behind.
     """
     forward, write_files, real_print = stack.forward, cli._write_files, print
     passes, writes, printed = [], [], []
@@ -263,7 +272,8 @@ def run_on_cpus(cpus, argv, out, capsys, write_delay=0.0, pass_delay=0.0):
 
 class TestConcurrentPasses:
     """The baseline pass and the per-lambda passes run on a pool of
-    threads, one per allowed CPU, and write the bytes of a sequential run."""
+    threads, one per allowed CPU, and write the bytes of a sequential run;
+    with one allowed CPU they run on the calling thread."""
 
     @pytest.mark.parametrize("argv", [WIDE_SWEEP, WIDE_SYMMETRIC])
     def test_pool_writes_the_sequential_bytes(self, tmp_path, capsys, argv):
@@ -275,13 +285,15 @@ class TestConcurrentPasses:
         assert threading.current_thread() not in threads_pooled
         assert len(threads_pooled) == len(threads_alone) == (4 if argv is WIDE_SWEEP else 2)
 
-    def test_small_passes_stay_on_the_calling_thread(self, tmp_path, capsys):
+    def test_small_passes_share_one_pool_thread(self, tmp_path, capsys):
         # 3 seeds of 16 tokens hold 768 score entries per pass
         (code, *_), threads, *_ = run_on_cpus(
             {0, 1}, ["stack", "--variant", "neutreno", "--n-seeds", "3",
                      "--lambda-sweep", "0.2,0.6"], tmp_path / "s", capsys)
         assert code == 0
-        assert threads == [threading.current_thread()] * 3
+        assert len(threads) == 3
+        assert len(set(threads)) == 1
+        assert threading.current_thread() not in threads
 
     @pytest.mark.parametrize("argv, error, files", [
         # the baseline and the first anchored pass both overflow
@@ -308,9 +320,9 @@ ENSEMBLE_SIZED = ["stack", "--variant", "neutreno", "--n-seeds", "3",
 
 
 class TestBackgroundWriter:
-    """With two or more allowed CPUs, one background thread writes a stack
-    command's files while its passes go on; files, output, errors and exit
-    status are those of a sequential run."""
+    """With two or more allowed CPUs, the calling thread writes a stack
+    command's files while the pool computes its later passes; files,
+    output, errors and exit status are those of a sequential run."""
 
     def both_ways(self, tmp_path, capsys, argv, setup=lambda out: None, delays=(0.02, 0.0)):
         runs = []
@@ -319,31 +331,34 @@ class TestBackgroundWriter:
             out.mkdir()
             setup(out)
             runs.append(run_on_cpus(cpus, argv, out, capsys, *delays))
-        (alone, _, writes_alone, printed_alone), (written, _, writes, printed) = runs
+        (alone, passes_alone, writes_alone, printed_alone), (written, passes, writes, printed) = runs
         assert written == alone
-        assert writes_alone == [threading.current_thread()] * len(writes_alone)
-        assert writes and threading.current_thread() not in writes
+        # passes run off the calling thread with two CPUs, every write on it
+        caller = threading.current_thread()
+        assert passes_alone + writes_alone + writes == \
+            [caller] * (len(passes_alone) + len(writes_alone) + len(writes))
+        assert passes and caller not in passes
         # each line is printed once every file before it is on disk
         assert len(printed) == len(printed_alone)
         for names_alone, names in zip(printed_alone, printed):
             assert names_alone <= names
-        return alone
+        return alone, (len(passes_alone), len(passes))
 
     def test_sweep_writes_the_sequential_bytes(self, tmp_path, capsys):
-        code, stdout, stderr, files = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED)
+        (code, stdout, stderr, files), _ = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED)
         assert code == 0
         assert stdout == "wrote <out>/summary_lambda0.2.json\nwrote <out>/summary_lambda0.6.json\n"
         assert stderr == ""
         assert len(files) == 3 + 2 * 4
 
     def test_failed_separation_check(self, tmp_path, capsys):
-        code, stdout, stderr, _ = self.both_ways(
+        (code, stdout, stderr, _), _ = self.both_ways(
             tmp_path, capsys, ENSEMBLE_SIZED + ["--expect-separation", "1.01"])
         assert code == 1
         assert stdout.count("wrote") == 2
         assert json.loads(stderr)["failed_checks"][0].startswith("separation fraction")
 
-    # the writer falls behind the passes, or fails before the next batch
+    # the writes fall behind the passes, or fail before the next pass ends
     @pytest.mark.parametrize("delays", [(0.02, 0.0), (0.0, 0.05)],
                              ids=["writer-behind", "writer-ahead"])
     @pytest.mark.parametrize("lam, stdout, files", [
@@ -354,15 +369,15 @@ class TestBackgroundWriter:
     ], ids=["first-lambda", "second-lambda"])
     def test_failed_write_stops_the_writes(self, tmp_path, capsys, delays, lam, stdout, files):
         blocker = f"stack_neutreno_lambda{lam}_seed1.csv"
-        run = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED,
-                             lambda out: (out / blocker).mkdir(), delays)
+        run, _ = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED,
+                                lambda out: (out / blocker).mkdir(), delays)
         assert run[:3] == (2, stdout, f"error: [Errno 21] Is a directory: '<out>/{blocker}'\n")
         assert run[3][blocker] is None
         assert len(run[3]) == files + 1
 
     def test_failed_write_wins_over_a_later_failing_pass(self, tmp_path, capsys):
         blocker = "stack_neutreno_lambda0.2_seed1.csv"
-        code, stdout, stderr, files = self.both_ways(
+        (code, stdout, stderr, files), _ = self.both_ways(
             tmp_path, capsys, ["stack", "--variant", "neutreno", "--n-seeds", "3",
                                "--lambda-sweep", "0.2,-1"],
             lambda out: (out / blocker).mkdir())
@@ -372,7 +387,7 @@ class TestBackgroundWriter:
         assert len(files) == 3 + 1 + 1
 
     def test_failing_pass_after_written_files(self, tmp_path, capsys):
-        code, stdout, stderr, files = self.both_ways(
+        (code, stdout, stderr, files), _ = self.both_ways(
             tmp_path, capsys, ["stack", "--variant", "neutreno", "--n-seeds", "3",
                                "--lambda-sweep", "0.2,-1,-2"])
         assert code == 2
@@ -380,10 +395,22 @@ class TestBackgroundWriter:
         assert stderr == "error: lambda_tilde must be nonnegative, got -1.0\n"
         assert len(files) == 3 + 4
 
+    def test_failed_write_cancels_the_passes_not_started(self, tmp_path, capsys):
+        # the baseline's write fails while the pool runs the second pass
+        blocker = "stack_softmax_seed1.csv"
+        (code, stdout, stderr, files), passes = self.both_ways(
+            tmp_path, capsys, ENSEMBLE_SIZED, lambda out: (out / blocker).mkdir(),
+            delays=(0.1, 0.3))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: [Errno 21] Is a directory: '<out>/{blocker}'\n"
+        assert sorted(files) == ["stack_softmax_seed0.csv", blocker]
+        assert files[blocker] is None
+        # one pass alone; with the pool, the second pass but never the third
+        assert passes == (1, 2)
+
 
 class TestAllowedCpus:
-    """Without an affinity call, the CPU count decides on the pool and
-    the writer."""
+    """Without an affinity call, the CPU count decides on the pool."""
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_falls_back_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, count):
@@ -392,7 +419,9 @@ class TestAllowedCpus:
         assert cli._allowed_cpus() == count
         (code, *_), passes, writes, _ = run_on_cpus(None, WIDE_SWEEP, tmp_path / "w", capsys)
         assert code == 0
-        on_caller = [t is threading.current_thread() for t in passes + writes]
+        caller = threading.current_thread()
+        assert writes == [caller] * len(writes)
+        on_caller = [t is caller for t in passes]
         assert all(on_caller) if count == 1 else not any(on_caller)
 
 
