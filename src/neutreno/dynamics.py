@@ -174,6 +174,15 @@ def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np
 
 
 def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
+    """The trace of ``u <- A u (+ lam (anchor - u))`` over ``steps`` steps.
+
+    Records are computed a batch of steps at a time.  The float64 iterate
+    of this deterministic map ends in an exact fixed point or cycle; once a
+    state repeats an earlier one bit for bit, the run stops stepping and
+    replays the cycle's records (and states) out to ``steps``, which gives
+    the same trace as stepping on.  Finding the repeat costs one extra
+    copy of the state.
+    """
     a = np.asarray(transition, dtype=np.float64)
     state = np.array(v0, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != state.shape[0]:
@@ -193,18 +202,44 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
     # distance matrices hold at most _BLOCK_ENTRIES entries
     batch = np.empty((min(steps + 1, max(1, _BLOCK_ENTRIES // n**2)), *state.shape))
     trace = DynamicsTrace()
-    for first in range(0, steps + 1, len(batch)):
-        states = batch[:steps + 1 - first]
+    # Brent's cycle finding: each new state's bytes are compared with a
+    # checkpoint, which jumps to the current state at power-of-two distances.
+    # Step 0 is never a checkpoint, because the map's bits may depend on the
+    # input's memory layout; every later state is a fresh C-ordered product.
+    checkpoint, since, power = None, 0, 1
+    step = period = 0
+    while step <= steps and not period:
+        k = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(states)):
-                if first + i:
+            while k < len(batch) and step <= steps:
+                if step:
                     nxt = a @ state
                     if lam:
                         nxt = nxt + lam * (anchor - state)
                     state = nxt
-                states[i] = state
-        _append_records([trace], states[None], np.broadcast_to(a, (1, len(states), n, n)),
-                        overflow_bound, record_states)
+                    key = state.tobytes()
+                    if key == checkpoint:
+                        period = step - since
+                        break
+                    if step - since == power:
+                        checkpoint, since, power = key, step, 2 * power
+                batch[k] = state
+                k += 1
+                step += 1
+        if k:
+            _append_records([trace], batch[None, :k], np.broadcast_to(a, (1, k, n, n)),
+                            overflow_bound, record_states)
+    if period:
+        # the state at `step` is the one at `step - period`, and the map and
+        # the metrics see only the state, so the rest of the run repeats the
+        # cycle's records; every cycle state is already in the latched flag.
+        # The replayed states are views of one block, as a batch's are.
+        offsets = np.arange(steps + 1 - step) % period
+        values, flags = trace._columns()
+        trace._batches.append((values[:, step - period + offsets],
+                               np.full(len(offsets), flags[-1])))
+        if record_states:
+            trace._states.extend(np.stack(trace._states[-period:])[offsets])
     return trace
 
 
@@ -215,7 +250,9 @@ def run_plain_dynamics(v0, transition, steps: int, *, record_states: bool = Fals
     The trace has ``steps + 1`` records (step 0 is the initial state).
     Every new row is a convex combination of the previous rows, so
     ``max_pairwise`` never increases and the final diameter is at most
-    the initial one.
+    the initial one.  Once the iterate repeats an earlier state bit for
+    bit, the later records are copied from that cycle rather than
+    computed, so a large ``steps`` costs little past the repeat.
     """
     return _run(v0, transition, steps, 0.0, None, overflow_bound, record_states)
 
@@ -231,6 +268,9 @@ def run_neutreno_dynamics(v0, anchor, transition, lam_tilde: float, steps: int, 
     recorded in the trace, not raised: the iteration matrix ``A - lam I``
     can have spectral radius above 1, in which case the iterates grow.
     The ``diverged`` flag latches from the first offending step onward.
+    As in ``run_plain_dynamics``, the records after the iterate first
+    repeats an earlier state bit for bit (a fixed point, a cycle, or a
+    NaN orbit) are copied from that cycle rather than computed.
     """
     if lam_tilde < 0:
         raise ValueError(f"lam_tilde must be nonnegative, got {lam_tilde}")

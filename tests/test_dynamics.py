@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neutreno import linalg
+from neutreno import dynamics, linalg
+from neutreno.cli import KEY_SCALE
 from neutreno.dynamics import (
     DEFAULT_OVERFLOW_BOUND,
     METRICS,
@@ -21,25 +22,31 @@ from neutreno.random_walk import limit_vector, stationary_power_iteration, trans
 UNIFORM_2 = np.full((2, 2), 0.5)
 
 
-def random_chain(rng, n, d_qk=3):
-    keys = rng.normal(scale=0.5, size=(n, d_qk))
+def random_chain(rng, n, d_qk=3, scale=0.5):
+    keys = rng.normal(scale=scale, size=(n, d_qk))
     return transition_from_scores(keys, keys)
+
+
+def same_bits(x, y):
+    """Whether two arrays hold the same bytes: -0.0 differs from 0.0, and a
+    NaN equals only a NaN with the same payload."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+
+
+def metric_values(rec):
+    return [getattr(rec, name) for name in METRICS]
 
 
 def traces_equal(t1, t2, check_states=False):
     if len(t1) != len(t2):
         return False
     for r1, r2 in zip(t1, t2):
-        values_equal = (
-            r1.step == r2.step
-            and (r1.j_value == r2.j_value or (np.isnan(r1.j_value) and np.isnan(r2.j_value)))
-            and r1.mean_cosine == r2.mean_cosine
-            and r1.max_pairwise == r2.max_pairwise
-            and r1.diverged == r2.diverged
-        )
-        if not values_equal:
+        if (r1.step, r1.diverged) != (r2.step, r2.diverged):
             return False
-        if check_states and not np.array_equal(r1.state, r2.state):
+        if not same_bits(metric_values(r1), metric_values(r2)):
+            return False
+        if check_states and not same_bits(r1.state, r2.state):
             return False
     return True
 
@@ -178,16 +185,15 @@ def reference_run(v0, a, steps, lam=0.0, anchor=None,
 
 
 def assert_same_records(records, expected):
-    """Field-wise equality of two record lists, NaN equal to NaN."""
+    """Field-wise equality of two record lists, bit for bit."""
     assert len(records) == len(expected)
     for rec, exp in zip(records, expected):
         assert (rec.step, rec.diverged) == (exp.step, exp.diverged)
-        np.testing.assert_array_equal([getattr(rec, name) for name in METRICS],
-                                      [getattr(exp, name) for name in METRICS])
+        assert same_bits(metric_values(rec), metric_values(exp))
         if exp.state is None:
             assert rec.state is None
         else:
-            np.testing.assert_array_equal(rec.state, exp.state)
+            assert same_bits(rec.state, exp.state)
 
 
 def assert_matches_reference(trace, reference, record_states):
@@ -195,11 +201,13 @@ def assert_matches_reference(trace, reference, record_states):
     records = list(trace)
     for step, (rec, (j, cos, diameter, diverged, state)) in enumerate(zip(records, reference)):
         assert rec.step == step
+        # by value: the reference writes an undefined cosine as math.nan,
+        # whose sign bit differs from that of a computed 0 / 0
         np.testing.assert_array_equal(
             [rec.j_value, rec.mean_cosine, rec.max_pairwise], [j, cos, diameter])
         assert rec.diverged is diverged
         if record_states:
-            np.testing.assert_array_equal(rec.state, state)
+            assert same_bits(rec.state, state)
         else:
             assert rec.state is None
     # the other views of the trace: indices from either end, slices, the
@@ -210,7 +218,7 @@ def assert_matches_reference(trace, reference, record_states):
     assert trace.diverged is records[-1].diverged
     for name in (*METRICS, "diverged"):
         column = trace.column(name)
-        np.testing.assert_array_equal(column, [getattr(rec, name) for rec in records])
+        assert same_bits(column, [getattr(rec, name) for rec in records])
         assert not column.flags.writeable
 
 
@@ -285,6 +293,149 @@ class TestBatchedRecords:
         assert_matches_reference(trace, reference_run(v0, a, 12), record_states)
         assert math.isnan(trace[0].mean_cosine)
         assert not math.isnan(trace[1].mean_cosine)
+
+
+def first_repeat(reference):
+    """The step of the first state from step 1 on that a later state of a
+    reference run repeats bit for bit, and the distance between the two;
+    None when no state repeats."""
+    seen = {}
+    for step, (*_, state) in enumerate(reference[1:], start=1):
+        key = state.tobytes()
+        if key in seen:
+            return seen[key], step - seen[key]
+        seen[key] = step
+    return None
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """The number of states whose records are computed ("records") and of
+    the finite ones among them, whose metrics are measured ("finite")."""
+    counts = {"records": 0, "finite": 0}
+    append, finite = dynamics._append_records, dynamics._finite_metrics
+
+    def counting_append(traces, states, *args):
+        counts["records"] += states.shape[0] * states.shape[1]
+        return append(traces, states, *args)
+
+    def counting_finite(x, *args):
+        counts["finite"] += len(x)
+        return finite(x, *args)
+
+    monkeypatch.setattr(dynamics, "_append_records", counting_append)
+    monkeypatch.setattr(dynamics, "_finite_metrics", counting_finite)
+    return counts
+
+
+class TestOrbitReplay:
+    """A frozen map's float64 iterate ends in an exact fixed point or cycle;
+    once a state repeats, ``_run`` replays the cycle's records instead of
+    stepping, and every field must still equal the per-step reference."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        d=st.integers(1, 9),
+        key_scale=st.floats(0.1, 6.0),
+        lam=st.sampled_from([0.0, 0.2, 0.6, 1.0, 1.5, 3.0]),
+        steps=st.integers(1, 600),
+        overflow_bound=st.sampled_from([DEFAULT_OVERFLOW_BOUND, 1e3]),
+        record_states=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, n, d, key_scale, lam, steps, overflow_bound,
+                               record_states, seed):
+        rng = np.random.default_rng(seed)
+        a = random_chain(rng, n, scale=key_scale)
+        v0, anchor = rng.normal(scale=3.0, size=(2, n, d))
+        trace = run_neutreno_dynamics(v0, anchor, a, lam, steps, record_states=record_states,
+                                      overflow_bound=overflow_bound)
+        assert_matches_reference(trace, reference_run(v0, a, steps, lam, anchor, overflow_bound),
+                                 record_states)
+
+    def test_long_plain_run_measures_few_states(self, measured):
+        rng = np.random.default_rng(120)
+        a = random_chain(rng, 16, scale=KEY_SCALE)
+        v0 = rng.normal(size=(16, 3))
+        trace = run_plain_dynamics(v0, a, 2000)
+        assert measured["finite"] < 0.1 * 2001
+        assert_matches_reference(trace, reference_run(v0, a, 2000), False)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    @pytest.mark.parametrize("seed,lam,period", [(1, 0.0, 1), (6, 0.0, 2), (1, 0.2, 4)])
+    def test_periodic_orbit(self, seed, lam, period, record_states, measured):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 17))
+        a = random_chain(rng, n)
+        v0 = rng.normal(size=(n, 3))
+        reference = reference_run(v0, a, 300, lam, v0)
+        start, found = first_repeat(reference)
+        assert found == period
+        trace = run_neutreno_dynamics(v0, v0, a, lam, 300, record_states=record_states)
+        assert_matches_reference(trace, reference, record_states)
+        # the checkpoint sits at steps 2**k - 1 and finds the repeat once it
+        # is on the cycle and its next 2**k steps cover the period
+        assert measured["records"] <= max(2 * start, 2 * period - 1) + period
+
+    def test_batch_boundaries(self, monkeypatch, measured):
+        # a period-4 orbit under every batch length up to past its repeat:
+        # the repeat falls on the first slot of a batch, and the cycle spans
+        # a batch boundary, for some of them
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(2, 17))
+        a = random_chain(rng, n)
+        v0 = rng.normal(size=(n, 3))
+        reference = reference_run(v0, a, 120, 0.2, v0)
+        first_slot = spans = False
+        for length in range(1, 60):
+            monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", length * n**2)
+            measured["records"] = 0
+            trace = run_neutreno_dynamics(v0, v0, a, 0.2, 120, record_states=True)
+            assert_matches_reference(trace, reference, True)
+            repeat = measured["records"]  # the step whose state repeated
+            assert repeat < 121
+            first_slot |= repeat % length == 0
+            spans |= (repeat - 4) // length != (repeat - 1) // length
+        assert first_slot and spans
+
+    def test_fortran_ordered_fixed_point(self):
+        # a fixed point of the map on Fortran-ordered states, given in that
+        # layout: step 1 repeats step 0's values, but step 2 is computed
+        # from the C-ordered step 1, whose product can have other bits
+        rng = np.random.default_rng(71)
+        n, d = int(rng.integers(2, 17)), int(rng.integers(2, 6))
+        a = random_chain(rng, n)
+        x = rng.normal(size=(n, d))
+        for _ in range(300):
+            x, previous = a @ np.asfortranarray(x), x
+            if same_bits(x, previous):
+                break
+        v0 = np.asfortranarray(x)
+        trace = run_plain_dynamics(v0, a, 100, record_states=True)
+        assert_matches_reference(trace, reference_run(v0, a, 100), True)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_nan_orbit(self, record_states, measured):
+        # at lam = 3 the iterates overflow, and from step 649 on every entry
+        # is the same NaN; the checkpoint at step 1023 finds the repeat
+        rng = np.random.default_rng(111)
+        a = random_chain(rng, 40)
+        anchor = rng.normal(size=(40, 3))
+        trace = run_neutreno_dynamics(anchor, anchor, a, 3.0, 1500,
+                                      record_states=record_states)
+        assert_matches_reference(trace, reference_run(anchor, a, 1500, 3.0, anchor),
+                                 record_states)
+        assert measured["records"] == 1024
+        assert math.isnan(trace.final.j_value) and trace.diverged
+
+    def test_no_repeat_measures_every_state(self, measured):
+        # the iterates grow by a factor of 1.7 a step and stay finite
+        a = np.array([[0.05, 0.95], [0.95, 0.05]])
+        anchor = np.array([[100.0], [-100.0]])
+        trace = run_neutreno_dynamics(anchor, anchor, a, 0.8, 300, record_states=True)
+        assert_matches_reference(trace, reference_run(anchor, a, 300, 0.8, anchor), True)
+        assert measured == {"records": 301, "finite": 301}
 
 
 class TestNeutrenoDynamics:

@@ -49,6 +49,13 @@ COMMANDS = {
     "dynamics-divergent-40": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "3",
                               "--n", "40", "--steps", "400"],
     "dynamics-dim8": ["dynamics", "--dim", "8"],
+    # long runs whose iterate ends in an exact cycle, so most records are
+    # replayed from the cycle's records
+    "dynamics-long": ["dynamics", "--steps", "5000"],
+    "dynamics-neutreno-long": ["dynamics", "--variant", "neutreno", "--lambda-tilde", "0.2",
+                               "--steps", "5000"],
+    "dynamics-wide-neutreno-long": ["dynamics", "--n", "64", "--variant", "neutreno",
+                                    "--lambda-tilde", "0.6", "--steps", "3000"],
     "stack": ["stack"],
     "stack-symmetric": ["stack", "--variant", "symmetric", "--n-seeds", "5"],
     "ensemble-sweep": ENSEMBLE_SWEEP,
