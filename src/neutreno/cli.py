@@ -30,7 +30,7 @@ import numpy as np
 from . import diagnostics, dynamics, functional, random_walk, stack
 from .attention import attention_matrix, exp_score_kernel, symmetric_attention
 from .config import ConfigError, coerce, merge_config, read_config_file
-from .linalg import _BLOCK_ENTRIES, mix_seed, substream
+from .linalg import _BLOCK_ENTRIES, _allowed_cpus, mix_seed, substream
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __all__ = ["main", "entry"]
@@ -274,14 +274,6 @@ def cmd_stack(cfg, out: Path) -> list[str]:
         lams += sweep
     with _stack_passes(model, variants, lams, x0) as passes:
         return _write_stack(cfg, out, sweep, compare, passes)
-
-
-def _allowed_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @contextmanager

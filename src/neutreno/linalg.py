@@ -8,13 +8,15 @@ never mutate their inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 # Entries per (rows, span, D) difference block in ``pairwise_sq_distances``:
 # 512 KiB of float64, so a block stays in a 2 MiB L2 cache and the token
 # metrics need O(N^2) memory, not O(N^2 D).  ``neutreno.dynamics`` also
-# sizes its batches of trace records by it.
+# sizes its batches of trace records by it, and ``neutreno.random_walk``
+# its blocks of walks.
 _BLOCK_ENTRIES = 1 << 16
 
 __all__ = [
@@ -175,3 +177,11 @@ def mix_seed(seed, *key) -> int:
     that store a scalar seed.
     """
     return int(np.random.SeedSequence([int(seed), *map(int, key)]).generate_state(1)[0])
+
+
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

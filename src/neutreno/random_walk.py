@@ -10,12 +10,13 @@ over-smoothed limit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import attention_matrix, exp_score_kernel
-from .linalg import substream
+from .linalg import _BLOCK_ENTRIES, _allowed_cpus, substream
 
 __all__ = [
     "ConvergenceError",
@@ -166,10 +167,17 @@ def walk_sample_stats(
 
     Each walk moves over token indices with row ``i`` of the transition
     matrix as its jump distribution and pays out ``v0[final index]``.
-    All randomness is drawn up front as one (n_samples, steps) uniform
-    block from ``substream(seed, start, steps)``; walk ``w`` consumes row
-    ``w``, so the result is reproducible and independent of how the walks
-    would be scheduled.
+    The randomness is one (n_samples, steps) uniform block from
+    ``substream(seed, start, steps)``; walk ``w`` consumes row ``w``, so
+    the result is reproducible and independent of how the walks are
+    scheduled.  The block is drawn in pieces: each allowed CPU takes one
+    contiguous share of the walks (no more shares than there are full
+    blocks of ``_BLOCK_ENTRIES`` walks), and each share walks
+    ``_BLOCK_ENTRIES`` of them at a time.  ``Generator.random`` spends one
+    64-bit output per double, so a share starting at walk ``lo`` draws its
+    rows from a generator advanced by ``lo * steps`` outputs, and a
+    share's blocks continue its stream.  Besides the ``n_samples`` final
+    states, a share holds O(``_BLOCK_ENTRIES * steps``) memory.
 
     Returns the per-coordinate sample mean and its standard error
     ``std / sqrt(n_samples)``.
@@ -187,7 +195,6 @@ def walk_sample_stats(
         # no randomness consumed; the payout is the start value exactly
         return WalkStats(mean=v0[start].copy(), stderr=np.zeros(v0.shape[1]),
                          n_samples=n_samples)
-    uniforms = substream(seed, start, steps).random((n_samples, steps))
     n = a.shape[0]
     # each row's thresholds, padded with +inf to a power-of-two width; the
     # cumulative sums of positive entries never decrease, so bisection
@@ -196,19 +203,51 @@ def walk_sample_stats(
     thresholds = np.full((n, width), np.inf)
     thresholds[:, :n] = np.cumsum(a, axis=1)
     thresholds = thresholds.ravel()
-    states = np.full(n_samples, start)
-    for t in range(steps):
-        # inverse-CDF jump: count thresholds below the uniform draw, one
-        # halving of the row at a time; the clip covers draws above the
-        # rounded row sum (1 - 1 ulp)
-        u = uniforms[:, t]
-        index = states * width
-        half = width // 2
-        while half:
-            index += half * (thresholds[half - 1:][index] < u)
-            half //= 2
-        # bisection stops below width, so the count is the index's low bits
-        states = np.minimum(index & (width - 1), n - 1)
+    states = np.empty(n_samples, dtype=np.intp)
+
+    def walk(rng, lo, hi, draws, column, index, picked, below, jump):
+        for first in range(lo, hi, _BLOCK_ENTRIES):
+            m = min(hi - first, _BLOCK_ENTRIES)
+            rows = rng.random(out=draws[:m])
+            u, at, pick, low, up = column[:m], index[:m], picked[:m], below[:m], jump[:m]
+            at.fill(start)
+            for t in range(steps):
+                # inverse-CDF jump: count thresholds below the uniform draw,
+                # one halving of the row at a time; the clip covers draws
+                # above the rounded row sum (1 - 1 ulp)
+                np.copyto(u, rows[:, t])
+                at *= width
+                half = width // 2
+                while half:
+                    # every index is in range, so "wrap" moves none; it
+                    # spares the copy of out that take makes under "raise"
+                    np.take(thresholds[half - 1:], at, out=pick, mode="wrap")
+                    np.less(pick, u, out=low)
+                    np.multiply(low, half, out=up)
+                    at += up
+                    half //= 2
+                # bisection stops below width, so the count is the index's
+                # low bits
+                at &= width - 1
+                np.minimum(at, n - 1, out=at)
+            states[first:first + m] = at
+
+    def share(lo, hi):
+        """The arguments of ``walk`` for walks ``lo`` to ``hi``."""
+        rng = substream(seed, start, steps)
+        rng.bit_generator.advance(lo * steps)
+        size = min(hi - lo, _BLOCK_ENTRIES)
+        return (rng, lo, hi, np.empty((size, steps)), np.empty(size),
+                np.empty(size, dtype=np.intp), np.empty(size),
+                np.empty(size, dtype=bool), np.empty(size, dtype=np.intp))
+
+    # the generators and buffers are made on the calling thread: only it
+    # runs functions that a caller may have wrapped, and the workers
+    # allocate nothing large; the buffers are freed before the payouts
+    count = max(1, min(_allowed_cpus(), n_samples // _BLOCK_ENTRIES))
+    bounds = [n_samples * k // count for k in range(count + 1)]
+    _run_shares(walk, [share(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+
     payouts = v0[states]
     mean = payouts.mean(axis=0)
     if n_samples > 1:
@@ -216,3 +255,29 @@ def walk_sample_stats(
     else:
         stderr = np.zeros_like(mean)
     return WalkStats(mean=mean, stderr=stderr, n_samples=n_samples)
+
+
+def _run_shares(work, shares) -> None:
+    """Call ``work(*share)`` for each share: the first on the calling
+    thread, each other one on a thread of its own.  Returns once every
+    thread has ended; a share's exception is raised here."""
+    errors = []
+
+    def run(*share):
+        try:
+            work(*share)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = []
+    try:
+        for share in shares[1:]:
+            worker = threading.Thread(target=run, args=share)
+            worker.start()
+            workers.append(worker)
+        work(*shares[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from neutreno import cli, stack
+from neutreno import cli, linalg, stack
 from neutreno.cli import main
 from neutreno.config import coerce
 from neutreno.tensorfile import save_tensor
@@ -416,7 +416,7 @@ class TestAllowedCpus:
     def test_falls_back_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, count):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._allowed_cpus() == count
+        assert linalg._allowed_cpus() == count
         (code, *_), passes, writes, _ = run_on_cpus(None, WIDE_SWEEP, tmp_path / "w", capsys)
         assert code == 0
         caller = threading.current_thread()

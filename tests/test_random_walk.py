@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from neutreno import random_walk
 
 from neutreno.attention import attention_matrix
-from neutreno.linalg import max_pairwise_distance, substream
+from neutreno.linalg import _BLOCK_ENTRIES, max_pairwise_distance, substream
 from neutreno.random_walk import (
     ConvergenceError,
     is_transition_matrix,
@@ -221,14 +223,17 @@ class TestSampleRandomWalk:
 def compare_and_count_walk(v0, a, steps, start, uniforms):
     """Reference: each step counts the cumulative thresholds of the
     current row below the walk's draw, clipped to the last state, through
-    an (n_samples, N) gather; returns the mean and standard error."""
+    a (walks, N) gather of at most 4096 walks at a time; returns the mean
+    and standard error."""
     if steps == 0:
         return v0[start], np.zeros(v0.shape[1])
     cumulative = np.cumsum(a, axis=1)
     states = np.full(len(uniforms), start)
-    for t in range(steps):
-        states = (cumulative[states] < uniforms[:, t : t + 1]).sum(axis=1)
-        states = np.minimum(states, a.shape[0] - 1)
+    for first in range(0, len(uniforms), 4096):
+        walks = slice(first, first + 4096)
+        for t in range(steps):
+            counts = (cumulative[states[walks]] < uniforms[walks, t : t + 1]).sum(axis=1)
+            states[walks] = np.minimum(counts, a.shape[0] - 1)
     payouts = v0[states]
     stderr = (payouts.std(axis=0, ddof=1) / np.sqrt(len(uniforms)) if len(uniforms) > 1
               else np.zeros(v0.shape[1]))
@@ -236,17 +241,34 @@ def compare_and_count_walk(v0, a, steps, start, uniforms):
 
 
 class FixedDraws:
-    """Stands in for ``substream``: hands out a given uniform block."""
+    """Stands in for ``substream``: each call returns a fresh stream over a
+    given uniform block, read row by row in C order."""
 
     def __init__(self, draws):
         self.draws = draws
 
     def __call__(self, seed, *key):
-        return self
+        return FixedStream(self.draws)
 
-    def random(self, shape):
-        assert shape == self.draws.shape
-        return self.draws
+
+class FixedStream:
+    """Hands out consecutive draws of a block, as ``Generator.random``
+    does one PCG64 output per double; ``advance`` skips draws."""
+
+    def __init__(self, draws):
+        self.flat = draws.ravel()
+        self.used = 0
+        self.bit_generator = self
+
+    def advance(self, delta):
+        self.used += delta
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        assert self.used + out.size <= self.flat.size, "read past the block"
+        out[...] = self.flat[self.used:self.used + out.size].reshape(out.shape)
+        self.used += out.size
+        return out
 
 
 class TestWalkBisection:
@@ -314,3 +336,83 @@ class TestWalkBisection:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads hand over the interpreter lock every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def on_cpus(cpus):
+    """Patch the affinity call to allow ``cpus`` CPUs."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(cpus)))
+
+
+class TestSplitWalk:
+    """``walk_sample_stats`` splits the walks into one share per allowed
+    CPU and each share into blocks of ``_BLOCK_ENTRIES`` walks; walk ``w``
+    must still consume row ``w`` of the one uniform block."""
+
+    @pytest.mark.parametrize("steps", range(5))
+    @pytest.mark.parametrize("n_samples", [1, _BLOCK_ENTRIES - 1, _BLOCK_ENTRIES,
+                                           _BLOCK_ENTRIES + 1, 2 * _BLOCK_ENTRIES + 1,
+                                           200_000])
+    def test_same_bytes_at_any_cpu_count(self, n_samples, steps, fast_switching):
+        rng = np.random.default_rng([n_samples, steps])
+        for n, scale in [(1, 0.5), (5, 3.0), (64, 0.5), (70, 3.0)]:
+            keys = rng.normal(scale=scale, size=(n, 3))
+            a = transition_from_scores(keys, keys)
+            v0 = rng.normal(size=(n, 2))
+            start, seed = int(rng.integers(0, n)), int(rng.integers(2**31))
+            draws = substream(seed, start, steps).random((n_samples, steps))
+            expected = compare_and_count_walk(v0, a, steps, start, draws)
+            for cpus in (1, 2, 3):
+                threads = threading.active_count()
+                with on_cpus(cpus), mock.patch.object(random_walk, "substream",
+                                                      wraps=substream) as streams:
+                    stats = walk_sample_stats(v0, a, steps, start, n_samples, seed)
+                assert threading.active_count() == threads
+                assert stats.mean.tobytes() == expected[0].tobytes()
+                assert stats.stderr.tobytes() == expected[1].tobytes()
+                # one stream per share, and no share without a full block
+                shares = min(cpus, max(1, n_samples // _BLOCK_ENTRIES))
+                assert streams.call_count == (shares if steps else 0)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4])
+    def test_advanced_generator_reproduces_the_tail(self, steps):
+        # numpy's Generator.random spends one 64-bit PCG64 output per
+        # double, so skipping lo * steps outputs lands on row lo
+        block = substream(7, 2, steps).random((1000, steps))
+        for lo in (0, 1, 333, 999):
+            rng = substream(7, 2, steps)
+            rng.bit_generator.advance(lo * steps)
+            pieces = [rng.random((min(100, 1000 - first), steps))
+                      for first in range(lo, 1000, 100)]
+            assert np.concatenate(pieces).tobytes() == block[lo:].tobytes()
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_failing_share_raises_on_the_caller(self, failing):
+        rng = np.random.default_rng(85)
+        a, _ = random_chain(rng, 6)
+        v0 = rng.normal(size=(6, 1))
+        draws = rng.random((2 * _BLOCK_ENTRIES, 3))
+        caller = threading.current_thread()
+
+        class FailingStream(FixedStream):
+            def random(self, size=None, out=None):
+                if (threading.current_thread() is caller) == (failing == "caller"):
+                    raise RuntimeError(f"share on the {failing} failed")
+                return super().random(size, out)
+
+        threads = threading.active_count()
+        with on_cpus(2), mock.patch.object(random_walk, "substream",
+                                           lambda *key: FailingStream(draws)):
+            with pytest.raises(RuntimeError, match=f"share on the {failing} failed"):
+                walk_sample_stats(v0, a, 3, 0, len(draws), seed=0)
+        assert threading.active_count() == threads

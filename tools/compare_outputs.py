@@ -96,6 +96,14 @@ COMMANDS = {
     # walks by bisection over 64-wide and padded rows
     "randomwalk-64": ["randomwalk", "--n", "64"],
     "randomwalk-asymmetric": ["randomwalk", "--n", "37", "--kernel", "asymmetric"],
+    # walks in one share per allowed CPU, each of 65 536-walk blocks: two
+    # shares at 2 CPUs, with block boundaries inside them, then one share
+    # of two blocks
+    "randomwalk-two-blocks": ["randomwalk", "--n-samples", "131073"],
+    "randomwalk-64-long": ["randomwalk", "--n", "64", "--walk-steps", "4",
+                           "--n-samples", "333333"],
+    "randomwalk-asymmetric-one-block": ["randomwalk", "--kernel", "asymmetric",
+                                        "--n-samples", "65537"],
     "gradcheck": ["gradcheck"],
     "gradcheck-symmetric": ["gradcheck", "--symmetric"],
     # the parser: every help text and three usage errors (exit 2)
