@@ -20,9 +20,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from . import diagnostics, dynamics, functional, random_walk, stack
 from .attention import attention_matrix, exp_score_kernel, symmetric_attention
 from .config import ConfigError, coerce, merge_config, read_config_file
-from .linalg import _BLOCK_ENTRIES, _allowed_cpus, mix_seed, substream
+from .linalg import _BLOCK_ENTRIES, _allowed_cpus, _in_order, mix_seed, substream
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __all__ = ["main", "entry"]
@@ -267,42 +265,19 @@ def cmd_stack(cfg, out: Path) -> list[str]:
         for lam in dict.fromkeys(sweep):
             _warn_lambda(lam)
     compare = cfg["variant"] != "softmax"
-    # the baseline pass, then one pass per anchor weight
-    variants, lams = ["softmax"], [0.0]
-    if compare:
-        variants += [cfg["variant"]] * len(sweep)
-        lams += sweep
-    with _stack_passes(model, variants, lams, x0) as passes:
-        return _write_stack(cfg, out, sweep, compare, passes)
-
-
-@contextmanager
-def _stack_passes(model, variants, lams, x0):
-    """An iterator over the traces of the passes ``_stack_traces(model,
-    variants[i], lams[i], x0)``, in order.
-
-    With two or more allowed CPUs, a pool of threads computes the passes
-    while the calling thread writes the results that have arrived.  The
-    pool has one thread per allowed CPU when a pass's score stack holds
-    at least ``_BLOCK_ENTRIES`` entries, and one thread below that, where
-    numpy's calls are too short to release the GIL for long.  The passes
-    share no mutable state, so they keep the bits of a sequential run, and
-    when the context exits early (a failed pass or write) the passes not
-    yet started never run.  With one allowed CPU the passes run one at a
-    time on the calling thread.
-    """
+    # the (variant, anchor weight) of the baseline pass, then one per anchor weight
+    pairs = [("softmax", 0.0)] + ([(cfg["variant"], lam) for lam in sweep] if compare else [])
+    # with two or more allowed CPUs, a pool computes the passes while the
+    # calling thread writes the results that have arrived: one thread per
+    # allowed CPU once a pass's score stack holds _BLOCK_ENTRIES entries,
+    # and one thread below that, where numpy's calls are too short to
+    # release the GIL for long; the passes share no mutable state, so they
+    # keep the bits of a sequential run
     cpus = _allowed_cpus()
-    run = partial(_stack_traces, model, x0=x0)
-    if cpus < 2:
-        yield map(run, variants, lams)
-        return
     wide = x0.shape[0] * x0.shape[1] ** 2 >= _BLOCK_ENTRIES
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(min(len(lams), cpus) if wide else 1)
-    try:
-        yield pool.map(run, variants, lams)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    threads = 0 if cpus < 2 else min(len(pairs), cpus) if wide else 1
+    with _in_order(lambda pair: _stack_traces(model, *pair, x0), pairs, threads) as passes:
+        return _write_stack(cfg, out, sweep, compare, passes)
 
 
 def _write_and_print(files, line=None) -> None:

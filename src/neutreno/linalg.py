@@ -1,14 +1,18 @@
-"""Row softmax, seed substreams, and token metrics.
+"""Row softmax, seed substreams, token metrics, and work on the allowed CPUs.
 
-Everything here operates on plain float64 ``numpy`` arrays: matrices are
-2-D row-major arrays, vectors are 1-D arrays.  All functions are pure and
+The maths operates on plain float64 ``numpy`` arrays: matrices are 2-D
+row-major arrays, vectors are 1-D arrays.  Those functions are pure and
 never mutate their inputs, so values can be shared freely across threads.
+``_in_order`` is the one place that starts threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
+from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -185,3 +189,36 @@ def _allowed_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@contextmanager
+def _in_order(func, items, threads: int):
+    """A context whose value yields ``func(item)`` for each of ``items``,
+    in order.
+
+    With ``threads`` >= 1, a pool of that many threads runs the items: the
+    first ``threads`` are submitted on entry and one more each time a
+    result is taken, so the pool runs at most ``threads`` items ahead of
+    the consumer.  A failed item raises when its result is taken.  On
+    exit, the items not yet started are cancelled and the pool's threads
+    are joined.  With ``threads`` == 0, the items run one at a time on the
+    calling thread as their results are taken.
+    """
+    if not threads:
+        yield map(func, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    items = iter(items)
+    pool = ThreadPoolExecutor(threads)
+    try:
+        pending = deque(pool.submit(func, item) for item in islice(items, threads))
+
+        def results():
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(func, item) for item in islice(items, 1))
+                yield result
+
+        yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -10,13 +10,12 @@ over-smoothed limit.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import attention_matrix, exp_score_kernel
-from .linalg import _BLOCK_ENTRIES, _allowed_cpus, substream
+from .linalg import _BLOCK_ENTRIES, _allowed_cpus, _in_order, substream
 
 __all__ = [
     "ConvergenceError",
@@ -243,10 +242,17 @@ def walk_sample_stats(
 
     # the generators and buffers are made on the calling thread: only it
     # runs functions that a caller may have wrapped, and the workers
-    # allocate nothing large; the buffers are freed before the payouts
+    # allocate nothing large; the calling thread walks the first share
+    # while the pool walks the others, and the buffers are freed before
+    # the payouts
     count = max(1, min(_allowed_cpus(), n_samples // _BLOCK_ENTRIES))
     bounds = [n_samples * k // count for k in range(count + 1)]
-    _run_shares(walk, [share(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    shares = [share(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with _in_order(lambda args: walk(*args), shares[1:], count - 1) as others:
+        walk(*shares[0])
+        del shares
+        for _ in others:  # a share's error is raised here
+            pass
 
     payouts = v0[states]
     mean = payouts.mean(axis=0)
@@ -256,28 +262,3 @@ def walk_sample_stats(
         stderr = np.zeros_like(mean)
     return WalkStats(mean=mean, stderr=stderr, n_samples=n_samples)
 
-
-def _run_shares(work, shares) -> None:
-    """Call ``work(*share)`` for each share: the first on the calling
-    thread, each other one on a thread of its own.  Returns once every
-    thread has ended; a share's exception is raised here."""
-    errors = []
-
-    def run(*share):
-        try:
-            work(*share)
-        except BaseException as exc:
-            errors.append(exc)
-
-    workers = []
-    try:
-        for share in shares[1:]:
-            worker = threading.Thread(target=run, args=share)
-            worker.start()
-            workers.append(worker)
-        work(*shares[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]

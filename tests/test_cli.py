@@ -285,6 +285,26 @@ class TestConcurrentPasses:
         assert threading.current_thread() not in threads_pooled
         assert len(threads_pooled) == len(threads_alone) == (4 if argv is WIDE_SWEEP else 2)
 
+    def test_first_two_passes_run_at_the_same_time(self, tmp_path, capsys):
+        # the baseline and the pass at lambda 0 each mark their start, then
+        # wait for the other's; run one after the other, the first times out
+        forward = stack.forward
+        started = {"softmax": threading.Event(), "neutreno": threading.Event()}
+        met = {}
+
+        def meeting_forward(model, x0, **kwargs):
+            variant = model.config.variant
+            if model.config.lambda_tilde == 0.0:
+                started[variant].set()
+                other = "neutreno" if variant == "softmax" else "softmax"
+                met[variant] = started[other].wait(timeout=10)
+            return forward(model, x0, **kwargs)
+
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(stack, "forward", meeting_forward):
+            assert main(WIDE_SWEEP + ["--out", str(tmp_path)]) == 0
+        assert met == {"softmax": True, "neutreno": True}
+
     def test_small_passes_share_one_pool_thread(self, tmp_path, capsys):
         # 3 seeds of 16 tokens hold 768 score entries per pass
         (code, *_), threads, *_ = run_on_cpus(
@@ -319,7 +339,7 @@ ENSEMBLE_SIZED = ["stack", "--variant", "neutreno", "--n-seeds", "3",
                   "--lambda-sweep", "0.2,0.6"]
 
 
-class TestBackgroundWriter:
+class TestWritesBesidePooledPasses:
     """With two or more allowed CPUs, the calling thread writes a stack
     command's files while the pool computes its later passes; files,
     output, errors and exit status are those of a sequential run."""
@@ -407,6 +427,28 @@ class TestBackgroundWriter:
         assert files[blocker] is None
         # one pass alone; with the pool, the second pass but never the third
         assert passes == (1, 2)
+
+    def test_at_most_one_pass_runs_ahead_of_the_writes(self, tmp_path, capsys):
+        # one pool thread: while the baseline's files are written, the pool
+        # may run the first compared pass but not start the second
+        forward, write_files = stack.forward, cli._write_files
+        started, seen = [], []
+
+        def forward_spy(*args, **kwargs):
+            started.append(threading.current_thread())
+            return forward(*args, **kwargs)
+
+        def slow_first_write(files):
+            time.sleep(0.0 if seen else 0.2)
+            write_files(files)
+            seen.append(len(started))
+
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(stack, "forward", forward_spy), \
+                mock.patch.object(cli, "_write_files", slow_first_write):
+            assert main(ENSEMBLE_SIZED + ["--out", str(tmp_path)]) == 0
+        assert len(started) == 3
+        assert seen[0] <= 2
 
 
 class TestAllowedCpus:
@@ -718,7 +760,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # concurrent.futures is imported only when a stack command uses the pool
+    # concurrent.futures is imported only when linalg._in_order starts a
+    # pool: a stack command or a walk with two or more allowed CPUs
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, neutreno.cli; print('concurrent.futures' in sys.modules)"

@@ -396,7 +396,7 @@ class TestSplitWalk:
                       for first in range(lo, 1000, 100)]
             assert np.concatenate(pieces).tobytes() == block[lo:].tobytes()
 
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    @pytest.mark.parametrize("failing", ["caller", "worker", "both"])
     def test_failing_share_raises_on_the_caller(self, failing):
         rng = np.random.default_rng(85)
         a, _ = random_chain(rng, 6)
@@ -406,13 +406,43 @@ class TestSplitWalk:
 
         class FailingStream(FixedStream):
             def random(self, size=None, out=None):
-                if (threading.current_thread() is caller) == (failing == "caller"):
-                    raise RuntimeError(f"share on the {failing} failed")
+                side = "caller" if threading.current_thread() is caller else "worker"
+                if failing in (side, "both"):
+                    raise RuntimeError(f"share on the {side} failed")
                 return super().random(size, out)
 
+        # the first failure in share order is raised: the caller's share
+        raised = "caller" if failing == "both" else failing
         threads = threading.active_count()
         with on_cpus(2), mock.patch.object(random_walk, "substream",
                                            lambda *key: FailingStream(draws)):
-            with pytest.raises(RuntimeError, match=f"share on the {failing} failed"):
+            with pytest.raises(RuntimeError, match=f"share on the {raised} failed"):
                 walk_sample_stats(v0, a, 3, 0, len(draws), seed=0)
         assert threading.active_count() == threads
+
+    def test_worker_share_runs_while_the_caller_walks(self):
+        # each share is one block; each side marks its start, then waits
+        # for the other's, so a worker started after the caller's share
+        # times out the caller's wait
+        rng = np.random.default_rng(86)
+        a, _ = random_chain(rng, 6)
+        v0 = rng.normal(size=(6, 1))
+        draws = rng.random((2 * _BLOCK_ENTRIES, 3))
+        caller = threading.current_thread()
+        started = {True: threading.Event(), False: threading.Event()}
+        met = {}
+
+        class MeetingStream(FixedStream):
+            def random(self, size=None, out=None):
+                on_caller = threading.current_thread() is caller
+                started[on_caller].set()
+                met[on_caller] = started[not on_caller].wait(timeout=10)
+                return super().random(size, out)
+
+        with on_cpus(2), mock.patch.object(random_walk, "substream",
+                                           lambda *key: MeetingStream(draws)):
+            stats = walk_sample_stats(v0, a, 3, 0, len(draws), seed=0)
+        assert met == {True: True, False: True}
+        mean, stderr = compare_and_count_walk(v0, a, 3, 0, draws)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.stderr.tobytes() == stderr.tobytes()

@@ -1,10 +1,13 @@
 """Check that two source trees write byte-identical experiment outputs.
 
-Runs a fixed list of ``neutreno`` commands and the four demo scripts,
-once from the checkout that holds this script and once from ``--parent``
-(another checkout, for example of the parent commit).  Each run is a
-subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread, in a fresh
-work directory that first receives the run's input files (``INPUTS``).
+Runs a fixed list of ``neutreno`` commands and the four demo scripts
+once from ``--parent`` (another checkout, for example of the parent
+commit) and twice from the checkout that holds this script: on every CPU
+this tool may use, then pinned to one of them, so that the one-CPU paths
+(the stack passes and every walk share on the calling thread) are
+compared too.  Each run is a subprocess with ``PYTHONPATH=<tree>/src``
+and one BLAS thread, in a fresh work directory that first receives the
+run's input files (``INPUTS``).
 ``--out`` is appended to every command; a parser that stops at ``--help``
 or at a usage error exits before it reads that flag.  The exit status,
 stdout, every file under ``--out`` and stderr (stdout and stderr with the
@@ -14,8 +17,9 @@ everything else.
 
     python tools/compare_outputs.py --parent ../neutreno-parent
 
-Prints each run's first difference, or that it is identical, and exits
-1 if any run differed, 0 when every run matches.  It is not part of the
+Prints the first difference of each run of the change (the pinned one
+marked "one CPU"), or that it is identical, and exits 1 if any run
+differed, 0 when every run matches.  It is not part of the
 test suite: the bits depend on the BLAS build, so both trees must run on
 the same machine.
 """
@@ -169,29 +173,37 @@ DEMOS = ("anchored_fixed_point.py", "depth_experiment.py",
          "oversmoothing_random_walk.py", "smoothing_is_attention.py")
 
 
-def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes, bytes]:
+def pin_to_one_cpu() -> None:
+    """Allow the calling process one of the CPUs it may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(tree: Path, argv: list[str], work: Path,
+        one_cpu: bool) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          preexec_fn=pin_to_one_cpu if one_cpu else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def outputs(tree: Path, name: str,
-            work: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+def outputs(tree: Path, name: str, one_cpu: bool = False
+            ) -> tuple[int, bytes, bytes, dict[str, bytes]]:
     """Exit status, normalised stdout and stderr, and ``--out`` files of
-    one run."""
-    for file, data in INPUTS.get(name, {}).items():
-        (work / file).write_bytes(data)
-    if name in COMMANDS:
+    one run in a fresh work directory, pinned to one CPU if ``one_cpu``."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for file, data in INPUTS.get(name, {}).items():
+            (work / file).write_bytes(data)
+        if name not in COMMANDS:
+            return (*run(tree, [str(tree / "demos" / name)], work, one_cpu), {})
         out = work / "out"
         status, stdout, stderr = run(
-            tree, ["-m", "neutreno", *COMMANDS[name], "--out", str(out)], work)
+            tree, ["-m", "neutreno", *COMMANDS[name], "--out", str(out)], work, one_cpu)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
         where = str(out).encode()
         return status, stdout.replace(where, b"<out>"), stderr.replace(where, b"<out>"), files
-    status, stdout, stderr = run(tree, [str(tree / "demos" / name)], work)
-    return status, stdout, stderr, {}
 
 
 def first_difference(label: str, a: bytes, b: bytes) -> str:
@@ -202,10 +214,11 @@ def first_difference(label: str, a: bytes, b: bytes) -> str:
     return f"{label}: {len(a_lines)} lines in parent, {len(b_lines)} in change"
 
 
-def compare(parent: Path, change: Path, name: str) -> str | None:
-    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        status_a, stdout_a, stderr_a, files_a = outputs(parent, name, Path(a))
-        status_b, stdout_b, stderr_b, files_b = outputs(change, name, Path(b))
+def compare(expected, got) -> str | None:
+    """The first difference of the outputs ``got`` of a run of the change
+    from the parent's ``expected``, or ``None``."""
+    status_a, stdout_a, stderr_a, files_a = expected
+    status_b, stdout_b, stderr_b, files_b = got
     if status_a != status_b:
         return f"exit status {status_a} in parent, {status_b} in change"
     if stdout_a != stdout_b:
@@ -229,9 +242,11 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     differed = False
     for name in [*COMMANDS, *DEMOS]:
-        difference = compare(parent, HERE, name)
-        print(f"{name}: {difference or 'identical'}")
-        differed |= difference is not None
+        expected = outputs(parent, name)
+        for label, one_cpu in ((name, False), (f"{name}, one CPU", True)):
+            difference = compare(expected, outputs(HERE, name, one_cpu))
+            print(f"{label}: {difference or 'identical'}")
+            differed |= difference is not None
     return int(differed)
 
 
