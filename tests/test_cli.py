@@ -339,10 +339,8 @@ ENSEMBLE_SIZED = ["stack", "--variant", "neutreno", "--n-seeds", "3",
                   "--lambda-sweep", "0.2,0.6"]
 
 
-class TestWritesBesidePooledPasses:
-    """With two or more allowed CPUs, the calling thread writes a stack
-    command's files while the pool computes its later passes; files,
-    output, errors and exit status are those of a sequential run."""
+class WritesBothWays:
+    """Runs a stack command with one allowed CPU and with two."""
 
     def both_ways(self, tmp_path, capsys, argv, setup=lambda out: None, delays=(0.02, 0.0)):
         runs = []
@@ -364,19 +362,10 @@ class TestWritesBesidePooledPasses:
             assert names_alone <= names
         return alone, (len(passes_alone), len(passes))
 
-    def test_sweep_writes_the_sequential_bytes(self, tmp_path, capsys):
-        (code, stdout, stderr, files), _ = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED)
-        assert code == 0
-        assert stdout == "wrote <out>/summary_lambda0.2.json\nwrote <out>/summary_lambda0.6.json\n"
-        assert stderr == ""
-        assert len(files) == 3 + 2 * 4
 
-    def test_failed_separation_check(self, tmp_path, capsys):
-        (code, stdout, stderr, _), _ = self.both_ways(
-            tmp_path, capsys, ENSEMBLE_SIZED + ["--expect-separation", "1.01"])
-        assert code == 1
-        assert stdout.count("wrote") == 2
-        assert json.loads(stderr)["failed_checks"][0].startswith("separation fraction")
+class TestBackgroundWriter(WritesBothWays):
+    """A failed write stops the later writes. The name is older than the
+    split of passes and writes; it keeps these cases' test ids."""
 
     # the writes fall behind the passes, or fail before the next pass ends
     @pytest.mark.parametrize("delays", [(0.02, 0.0), (0.0, 0.05)],
@@ -394,6 +383,26 @@ class TestWritesBesidePooledPasses:
         assert run[:3] == (2, stdout, f"error: [Errno 21] Is a directory: '<out>/{blocker}'\n")
         assert run[3][blocker] is None
         assert len(run[3]) == files + 1
+
+
+class TestWritesBesidePooledPasses(WritesBothWays):
+    """With two or more allowed CPUs, the calling thread writes a stack
+    command's files while the pool computes its later passes; files,
+    output, errors and exit status are those of a sequential run."""
+
+    def test_sweep_writes_the_sequential_bytes(self, tmp_path, capsys):
+        (code, stdout, stderr, files), _ = self.both_ways(tmp_path, capsys, ENSEMBLE_SIZED)
+        assert code == 0
+        assert stdout == "wrote <out>/summary_lambda0.2.json\nwrote <out>/summary_lambda0.6.json\n"
+        assert stderr == ""
+        assert len(files) == 3 + 2 * 4
+
+    def test_failed_separation_check(self, tmp_path, capsys):
+        (code, stdout, stderr, _), _ = self.both_ways(
+            tmp_path, capsys, ENSEMBLE_SIZED + ["--expect-separation", "1.01"])
+        assert code == 1
+        assert stdout.count("wrote") == 2
+        assert json.loads(stderr)["failed_checks"][0].startswith("separation fraction")
 
     def test_failed_write_wins_over_a_later_failing_pass(self, tmp_path, capsys):
         blocker = "stack_neutreno_lambda0.2_seed1.csv"
