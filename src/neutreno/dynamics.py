@@ -66,40 +66,34 @@ METRICS = ("mean_cosine", "j_value", "max_pairwise")
 class DynamicsTrace:
     """Per-step metrics held as named columns, contiguous from step 0.
 
-    ``column(name)`` is a read-only array with one entry per step: float64
-    for each name in ``METRICS``, bool for the latched ``"diverged"``
-    flag.  ``trace[i]``, slices and iteration give ``TraceRecord`` views of
-    the same values, whose ``state`` is the recorded state under
-    ``record_states=True`` and ``None`` otherwise.
+    Built once from finished arrays: ``values`` is (len(METRICS), steps)
+    float64 in ``METRICS`` order, ``overflowed`` the (steps,) bool flags
+    of the states that are non-finite or exceed the overflow bound, and
+    ``states``, if given, the recorded state of each step (an array or a
+    list of arrays, indexed by step).  ``column(name)`` is a read-only
+    array with one entry per step: float64 for each name in ``METRICS``,
+    bool for the ``"diverged"`` flag, which latches from the first
+    overflowed step on.  ``trace[i]``, slices and iteration give
+    ``TraceRecord`` views of the same values, whose ``state`` is the
+    recorded state and ``None`` when no states were recorded.
     """
 
-    def __init__(self):
-        # the (len(METRICS), k) values and (k,) flags of each batch that
-        # _append_records appends, joined at the next read
-        self._batches = [(np.empty((len(METRICS), 0)), np.empty(0, dtype=bool))]
-        self._states = []  # empty unless recorded
-
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (len(METRICS), steps) values and the (steps,) flags."""
-        if len(self._batches) > 1:
-            values, flags = zip(*self._batches)
-            values, flags = np.concatenate(values, axis=1), np.concatenate(flags)
-            values.flags.writeable = flags.flags.writeable = False
-            self._batches = [(values, flags)]
-        return self._batches[0]
+    def __init__(self, values: np.ndarray, overflowed: np.ndarray, states=None):
+        self._values = values.view()
+        self._flags = np.logical_or.accumulate(overflowed)
+        self._values.flags.writeable = self._flags.flags.writeable = False
+        self._states = states
 
     def column(self, name: str) -> np.ndarray:
-        values, flags = self._columns()
-        return flags if name == "diverged" else values[METRICS.index(name)]
+        return self._flags if name == "diverged" else self._values[METRICS.index(name)]
 
     def _record(self, step: int) -> TraceRecord:
-        values, flags = self._columns()
-        return TraceRecord(step, **dict(zip(METRICS, values[:, step].tolist())),
-                           diverged=bool(flags[step]),
-                           state=self._states[step] if self._states else None)
+        return TraceRecord(step, **dict(zip(METRICS, self._values[:, step].tolist())),
+                           diverged=bool(self._flags[step]),
+                           state=None if self._states is None else self._states[step])
 
     def __len__(self):
-        return len(self._columns()[1])
+        return len(self._flags)
 
     def __iter__(self):
         return map(self._record, range(len(self)))
@@ -116,61 +110,44 @@ class DynamicsTrace:
 
     @property
     def diverged(self) -> bool:
-        return bool(self._batches[-1][1][-1:].any())  # the last flag, if any
+        return bool(self._flags[-1:].any())  # the last flag, if any
 
 
-def _finite_metrics(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
-    """J, cosine, diameter and overflow flag of each finite (N, D) unit in
-    ``x``, one array each; J is weighted by that unit's ``weights``."""
-    # J and the diameter share one squared-distance matrix; the
-    # expressions are those of nonlocal_energy, max_pairwise_distance and
-    # pairwise_cosine_mean.  The diameter is taken first, so the weighted
-    # squares can overwrite the (C-ordered) matrix, which is then released
-    # before the cosine's Gram matrix is formed.
-    sq = _sq_distances(x)
-    diameter = np.sqrt(sq.max(axis=(-2, -1)))
-    j = 0.5 * np.multiply(weights, sq, out=sq).sum(axis=(-2, -1))
-    del sq
-    norms = np.linalg.norm(x, axis=-1)
-    # the cosine is undefined with a zero row, whose NaN norm spreads to
-    # its unit's mean, or with a single row, whose mean is 0 / 0
-    if not norms.all():
-        norms[norms == 0.0] = np.nan
-    return j, _cosine_means(x, norms), diameter, np.abs(x).max(axis=(-2, -1)) > overflow_bound
+def _records(x: np.ndarray, weights: np.ndarray, overflow_bound: float):
+    """The (len(METRICS), units) values, in ``METRICS`` order, and the
+    (units,) overflow flags of the (units, N, D) states ``x``; J is weighted
+    by each unit's already checked (N, N) ``weights``.
 
-
-def _append_records(traces: list[DynamicsTrace], states: np.ndarray, weights: np.ndarray,
-                    overflow_bound: float, record_states: bool) -> None:
-    """Append k steps to each trace: ``states[i]`` holds the next k (N, D)
-    states of ``traces[i]`` and ``weights[i]`` their already checked (N, N)
-    weights, so ``states`` is (S, k, N, D) and ``weights`` (S, k, N, N).
-
-    J is weighted by ``weights``; J, cosine and diameter are NaN where
-    undefined, and a non-finite state gets NaN for all three.  The
-    ``diverged`` flag latches per trace: it is set from the first state
-    that is non-finite or exceeds ``overflow_bound`` in magnitude.
+    J, cosine and diameter are NaN where undefined, and a non-finite state
+    gets NaN for all three.  A state overflows when it is non-finite or
+    exceeds ``overflow_bound`` in magnitude.
     """
     # the metrics run on the layout the recorded state has
-    states = np.ascontiguousarray(states)
-    units, k, n, d = states.shape
-    x, w = states.reshape(units * k, n, d), weights.reshape(units * k, n, n)
+    x = np.ascontiguousarray(x)
+    values = np.full((len(METRICS), len(x)), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         finite = np.isfinite(x).all(axis=(-2, -1))
-        if finite.all():
-            j, cos, mp, big = _finite_metrics(x, w, overflow_bound)
-        else:
-            j, cos, mp = np.full((3, len(x)), np.nan)
-            big = ~finite
-            if finite.any():
-                j[finite], cos[finite], mp[finite], big[finite] = _finite_metrics(
-                    x[finite], w[finite], overflow_bound)
-    values = np.stack((cos, j, mp)).reshape(len(METRICS), units, k)  # in METRICS order
-    diverged = (np.logical_or.accumulate(big.reshape(units, k), axis=1)
-                | np.array([trace.diverged for trace in traces])[:, None])
-    for i, trace in enumerate(traces):
-        trace._batches.append((values[:, i], diverged[i]))
-        if record_states:
-            trace._states.extend(states[i].copy())
+        overflowed = ~finite
+        if not finite.all():
+            x, weights = x[finite], weights[finite]
+        if len(x):
+            # J and the diameter share one squared-distance matrix; the
+            # expressions are those of nonlocal_energy, max_pairwise_distance
+            # and pairwise_cosine_mean.  The diameter is taken first, so the
+            # weighted squares can overwrite the (C-ordered) matrix, which is
+            # then released before the cosine's Gram matrix is formed.
+            sq = _sq_distances(x)
+            diameter = np.sqrt(sq.max(axis=(-2, -1)))
+            j = 0.5 * np.multiply(weights, sq, out=sq).sum(axis=(-2, -1))
+            del sq
+            norms = np.linalg.norm(x, axis=-1)
+            # the cosine is undefined with a zero row, whose NaN norm spreads
+            # to its unit's mean, or with a single row, whose mean is 0 / 0
+            if not norms.all():
+                norms[norms == 0.0] = np.nan
+            values[:, finite] = _cosine_means(x, norms), j, diameter
+            overflowed[finite] = np.abs(x).max(axis=(-2, -1)) > overflow_bound
+    return values, overflowed
 
 
 def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
@@ -198,10 +175,12 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
     n = state.shape[0]
     a = _check_weights(a, n)
 
+    values = np.empty((len(METRICS), steps + 1))
+    overflowed = np.empty(steps + 1, dtype=bool)
+    states = np.empty((steps + 1, *state.shape)) if record_states else None
     # consecutive steps stand in for the units of the stack path; a batch's
     # distance matrices hold at most _BLOCK_ENTRIES entries
     batch = np.empty((min(steps + 1, max(1, _BLOCK_ENTRIES // n**2)), *state.shape))
-    trace = DynamicsTrace()
     # Brent's cycle finding: each new state's bytes are compared with a
     # checkpoint, which jumps to the current state at power-of-two distances.
     # Step 0 is never a checkpoint, because the map's bits may depend on the
@@ -227,20 +206,20 @@ def _run(v0, transition, steps, lam, anchor, overflow_bound, record_states):
                 k += 1
                 step += 1
         if k:
-            _append_records([trace], batch[None, :k], np.broadcast_to(a, (1, k, n, n)),
-                            overflow_bound, record_states)
+            done = slice(step - k, step)
+            values[:, done], overflowed[done] = _records(
+                batch[:k], np.broadcast_to(a, (k, n, n)), overflow_bound)
+            if record_states:
+                states[done] = batch[:k]
     if period:
         # the state at `step` is the one at `step - period`, and the map and
         # the metrics see only the state, so the rest of the run repeats the
-        # cycle's records; every cycle state is already in the latched flag.
-        # The replayed states are views of one block, as a batch's are.
-        offsets = np.arange(steps + 1 - step) % period
-        values, flags = trace._columns()
-        trace._batches.append((values[:, step - period + offsets],
-                               np.full(len(offsets), flags[-1])))
+        # cycle's records and states; every cycle state is already latched
+        cycle = step - period + np.arange(steps + 1 - step) % period
+        values[:, step:], overflowed[step:] = values[:, cycle], overflowed[cycle]
         if record_states:
-            trace._states.extend(np.stack(trace._states[-period:])[offsets])
-    return trace
+            states[step:] = states[cycle]
+    return DynamicsTrace(values, overflowed, states)
 
 
 def run_plain_dynamics(v0, transition, steps: int, *, record_states: bool = False,

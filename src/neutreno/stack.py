@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import _attend, scaled_scores
-from .dynamics import DEFAULT_OVERFLOW_BOUND, DynamicsTrace, _append_records
+from .dynamics import DEFAULT_OVERFLOW_BOUND, METRICS, DynamicsTrace, _records
 
 __all__ = ["VARIANTS", "StackConfig", "StackModel", "init_stack", "forward"]
 
@@ -146,10 +146,14 @@ def forward(model: StackModel, x0, *, record_states: bool = False):
             + ("" if single else f" and {units} seeds")
         )
 
-    traces = [DynamicsTrace() for _ in range(units)]
+    # the records of every unit, filled for the active units one record at
+    # a time; a unit that stops early keeps its first `records[unit]`
+    values = np.empty((len(METRICS), units, cfg.layers + 1))
+    overflowed = np.empty((units, cfg.layers + 1), dtype=bool)
+    records = np.full(units, cfg.layers + 1)
+    states = []  # under record_states, one (S, N, D) block per record
     output = np.empty((units, state.shape[1], cfg.value_dim))
     active = np.arange(units)
-    live = traces
     first_layer_values = None
     lam = cfg.lambda_tilde if cfg.variant == "neutreno" else 0.0
     for index in range(cfg.layers):
@@ -176,12 +180,14 @@ def forward(model: StackModel, x0, *, record_states: bool = False):
             # a diverging state saturates the kernel to inf; that is
             # recorded as data, not raised
             kernel = np.exp(scores, out=scores)
-        if index == 0:
-            _append_records(live, state[:, None], kernel[:, None], DEFAULT_OVERFLOW_BOUND,
-                            record_states)
+        recorded = [(0, state)] if index == 0 else []
         state = out + state if cfg.residual else out
-        _append_records(live, state[:, None], kernel[:, None], DEFAULT_OVERFLOW_BOUND,
-                        record_states)
+        for record, x in (*recorded, (index + 1, state)):
+            values[:, active, record], overflowed[active, record] = _records(
+                x, kernel, DEFAULT_OVERFLOW_BOUND)
+            if record_states:
+                states.append(np.empty((units, *x.shape[1:])))
+                states[record][active] = x
         # release the kernel before the next layer forms its scores
         del scores, kernel
         # a unit stops before its score products can overflow to
@@ -190,11 +196,14 @@ def forward(model: StackModel, x0, *, record_states: bool = False):
             | (np.abs(state).max(axis=(-2, -1)) > 1e150)
         if stop.any():
             output[active[stop]] = state[stop]
+            records[active[stop]] = index + 2
             keep = ~stop
             active, state = active[keep], state[keep]
             first_layer_values = first_layer_values[keep]
-            live = [traces[unit] for unit in active]
             if not active.size:
                 break
     output[active] = state
+    traces = [DynamicsTrace(values[:, unit, :count], overflowed[unit, :count],
+                            [block[unit] for block in states[:count]] if record_states else None)
+              for unit, count in enumerate(records.tolist())]
     return (output[0], traces[0]) if single else (output, traces)

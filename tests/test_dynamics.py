@@ -9,7 +9,7 @@ from neutreno.cli import KEY_SCALE
 from neutreno.dynamics import (
     DEFAULT_OVERFLOW_BOUND,
     METRICS,
-    _finite_metrics,
+    _records,
     fixed_point_separation,
     neutreno_fixed_point,
     run_neutreno_dynamics,
@@ -150,7 +150,8 @@ class TestFiniteMetrics:
             w = np.asfortranarray(w) if weights == "F" else w
         # a single row's cosine is 0 / 0
         with np.errstate(invalid="ignore"):
-            j, _, diameter, _ = _finite_metrics(x, w, DEFAULT_OVERFLOW_BOUND)
+            values, _ = _records(x, w, DEFAULT_OVERFLOW_BOUND)
+        j, diameter = (values[METRICS.index(name)] for name in ("j_value", "max_pairwise"))
         sq = linalg._sq_distances(x)
         assert (j == 0.5 * (w * sq).sum(axis=(-2, -1))).all()
         assert (diameter == np.sqrt(sq.max(axis=(-2, -1)))).all()
@@ -313,18 +314,14 @@ def measured(monkeypatch):
     """The number of states whose records are computed ("records") and of
     the finite ones among them, whose metrics are measured ("finite")."""
     counts = {"records": 0, "finite": 0}
-    append, finite = dynamics._append_records, dynamics._finite_metrics
+    records = dynamics._records
 
-    def counting_append(traces, states, *args):
-        counts["records"] += states.shape[0] * states.shape[1]
-        return append(traces, states, *args)
+    def counting_records(x, *args):
+        counts["records"] += len(x)
+        counts["finite"] += int(np.isfinite(x).all(axis=(-2, -1)).sum())
+        return records(x, *args)
 
-    def counting_finite(x, *args):
-        counts["finite"] += len(x)
-        return finite(x, *args)
-
-    monkeypatch.setattr(dynamics, "_append_records", counting_append)
-    monkeypatch.setattr(dynamics, "_finite_metrics", counting_finite)
+    monkeypatch.setattr(dynamics, "_records", counting_records)
     return counts
 
 

@@ -107,6 +107,18 @@ class TestInitStack:
         out, _ = forward(model, np.random.default_rng(1).normal(size=(4, 6)))
         assert out.shape == (4, 3)
 
+    def test_single_layer_records_states_of_both_widths(self):
+        # record 0 holds the (4, 6) input and record 1 the (4, 3) output, for
+        # one seed and for each unit of an ensemble
+        config = make_config(layers=1, value_dim=3)
+        x0 = np.random.default_rng(1).normal(size=(2, 4, 6))
+        out, trace = forward(init_stack(config, SEED), x0[0], record_states=True)
+        assert [rec.state.shape for rec in trace] == [(4, 6), (4, 3)]
+        assert same_bits(trace[0].state, x0[0]) and same_bits(trace[1].state, out)
+        traces = assert_batch_matches_units(init_stack(config, [SEED, SEED + 1]), x0)
+        for trace in traces:
+            assert [rec.state.shape for rec in trace] == [(4, 6), (4, 3)]
+
 
 class TestForward:
     def test_single_layer_softmax_is_plain_attention(self):
