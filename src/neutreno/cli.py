@@ -142,7 +142,6 @@ STACK_SCHEMA = {
     "lambda_sweep": ("list[float]", []),
     "expect_separation": (float, -1.0),
     "seed": (int, 0),
-    "tol": (float, 1e-8),
 }
 
 RANDOMWALK_SCHEMA = {

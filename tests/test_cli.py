@@ -99,6 +99,20 @@ class TestDynamicsCommand:
         assert capsys.readouterr().err == "error: unknown config keys: tol\n"
         assert not out.exists()
 
+    def test_tol_is_not_a_stack_key(self, tmp_path, capsys):
+        # stack checks no tolerance either, so it takes no tol key or flag
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("tol = 1e-3\n")
+        out = tmp_path / "x"
+        assert main(["stack", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: tol\n"
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stack", "--tol", "1e-3", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStackCommand:
     def test_single_layer_two_rows(self, tmp_path):

@@ -78,6 +78,10 @@ COMMANDS = {
     "odd-shapes": ["stack", "--n", "37", "--input-dim", "5", "--key-dim", "3",
                    "--value-dim", "5", "--n-seeds", "7", "--lambda-sweep", "0,0.3,3",
                    "--seed", "3"],
+    # one layer that changes the width: record 0 is measured at 8 features,
+    # record 1 at 3
+    "stack-width-change": ["stack", "--layers", "1", "--value-dim", "3", "--n-seeds", "3",
+                           "--lambda-sweep", "0.2,0.6"],
     # passes large enough to run on a pool of threads, one per allowed CPU
     "wide-sweep": ["stack", "--variant", "neutreno", "--n", "256", "--input-dim", "8",
                    "--key-dim", "8", "--value-dim", "8", "--layers", "3",
