@@ -178,6 +178,18 @@ def walk_sample_stats(
     share's blocks continue its stream.  Besides the ``n_samples`` final
     states, a share holds O(``_BLOCK_ENTRIES * steps``) memory.
 
+    A jump from state ``s`` with draw ``u`` goes to the number of
+    thresholds ``cumsum(A[s])`` below ``u``, clipped to the last state.
+    It is found with a guide table (Chen & Asau 1974), built once per
+    call: [0, 1) splits into ``G = 16 * W`` equal buckets, ``W`` the power
+    of two at or above N, and each (row, bucket) entry holds the jump of
+    every draw in the bucket, or flags a bucket that holds thresholds.  A
+    flagged walk then bisects over the thresholds inside its bucket.  As
+    ``G`` is a power of two, ``floor(u * G)`` is the exact bucket of
+    ``u``, and the flagged walks compare ``threshold < u`` as a direct
+    count would, so every jump is exact.  The table takes O(N * W)
+    memory: 2 bytes an entry up to N = 32 767, 128 KiB at N = 64.
+
     Returns the per-coordinate sample mean and its standard error
     ``std / sqrt(n_samples)``.
     """
@@ -195,50 +207,81 @@ def walk_sample_stats(
         return WalkStats(mean=v0[start].copy(), stderr=np.zeros(v0.shape[1]),
                          n_samples=n_samples)
     n = a.shape[0]
-    # each row's thresholds, padded with +inf to a power-of-two width; the
-    # cumulative sums of positive entries never decrease, so bisection
-    # counts the thresholds below a draw exactly
-    width = 1 << (n - 1).bit_length()
-    thresholds = np.full((n, width), np.inf)
-    thresholds[:, :n] = np.cumsum(a, axis=1)
+    thresholds = np.cumsum(a, axis=1)
+    size = 16 << (n - 1).bit_length()
+    stride = size + 1
+    table = np.empty(n * stride, dtype=np.int16 if n < 2**15 else np.int32)
+    crowd = 0  # the most thresholds in one bucket
+    chunk = max(1, _BLOCK_ENTRIES // size)
+    for top in range(0, n, chunk):
+        part = thresholds[top:top + chunk]
+        # the bucket of each threshold, exact as size is a power of two; a
+        # threshold below bucket b has its bucket below b.  Thresholds at or
+        # above 1, which no draw exceeds, join an extra bucket closing each
+        # row
+        edge = np.full((len(part), n + 1), size, dtype=np.intp)
+        np.minimum(part * size, size, out=edge[:, :n], casting="unsafe")
+        # the first threshold of each bucket that holds any, by row: it has
+        # `below` thresholds before it.  Row by row, each such bucket follows
+        # a run of empty buckets whose draws all jump to `below`, clipped,
+        # and holds -1 - below itself
+        opens = np.ones(edge.shape, dtype=bool)
+        np.not_equal(edge[:, 1:], edge[:, :-1], out=opens[:, 1:])
+        row, below = np.nonzero(opens)
+        position = row * stride + edge[row, below]
+        runs = np.ones((len(position), 2), dtype=np.intp)
+        runs[:, 0] = np.diff(position, prepend=-1) - 1
+        values = np.stack([np.minimum(below, n - 1), -1 - below], axis=1)
+        table[top * stride:(top + len(part)) * stride] = np.repeat(
+            values.astype(table.dtype).ravel(), runs.ravel())
+        # the step from a row's extra bucket to the next row is negative
+        crowd = max(crowd, int(np.diff(below).max(initial=0)))
+    reach = 1 << crowd.bit_length()  # the bisection's width, above crowd
     thresholds = thresholds.ravel()
     states = np.empty(n_samples, dtype=np.intp)
 
-    def walk(rng, lo, hi, draws, column, index, picked, below, jump):
+    def walk(rng, lo, hi, draws, index, entry):
         for first in range(lo, hi, _BLOCK_ENTRIES):
             m = min(hi - first, _BLOCK_ENTRIES)
             rows = rng.random(out=draws[:m])
-            u, at, pick, low, up = column[:m], index[:m], picked[:m], below[:m], jump[:m]
+            at, guide = index[:m], entry[:m]
+            bucket = states[first:first + m]  # free until the block ends
             at.fill(start)
             for t in range(steps):
-                # inverse-CDF jump: count thresholds below the uniform draw,
-                # one halving of the row at a time; the clip covers draws
-                # above the rounded row sum (1 - 1 ulp)
-                np.copyto(u, rows[:, t])
-                at *= width
-                half = width // 2
+                # inverse-CDF jump: the entry of the draw's bucket in the
+                # current row; the cast floors the exact product
+                u = rows[:, t]
+                np.multiply(u, size, out=bucket, casting="unsafe")
+                at *= stride
+                at += bucket
+                # every index is in range, so "wrap" moves none; it spares
+                # the copy of out that take makes under "raise"
+                np.take(table, at, out=guide, mode="wrap")
+                # a flagged walk adds the thresholds in its bucket below its
+                # draw, by bisection; past the bucket they are above the
+                # draw, and a probe past the row reads its last one, which
+                # only the final clip can tell apart
+                flagged = np.flatnonzero(guide < 0)
+                base = at[flagged] // stride * n
+                jump = -1 - guide[flagged].astype(np.intp)
+                draw = u[flagged]
+                half = reach // 2
                 while half:
-                    # every index is in range, so "wrap" moves none; it
-                    # spares the copy of out that take makes under "raise"
-                    np.take(thresholds[half - 1:], at, out=pick, mode="wrap")
-                    np.less(pick, u, out=low)
-                    np.multiply(low, half, out=up)
-                    at += up
+                    probe = np.minimum(jump + (half - 1), n - 1)
+                    probe += base
+                    jump += (thresholds[probe] < draw) * half
                     half //= 2
-                # bisection stops below width, so the count is the index's
-                # low bits
-                at &= width - 1
-                np.minimum(at, n - 1, out=at)
+                np.copyto(at, guide)
+                at[flagged] = np.minimum(jump, n - 1)
             states[first:first + m] = at
 
     def share(lo, hi):
         """The arguments of ``walk`` for walks ``lo`` to ``hi``."""
         rng = substream(seed, start, steps)
         rng.bit_generator.advance(lo * steps)
-        size = min(hi - lo, _BLOCK_ENTRIES)
-        return (rng, lo, hi, np.empty((size, steps)), np.empty(size),
-                np.empty(size, dtype=np.intp), np.empty(size),
-                np.empty(size, dtype=bool), np.empty(size, dtype=np.intp))
+        block = min(hi - lo, _BLOCK_ENTRIES)
+        return (rng, lo, hi, np.empty((block, steps)), np.empty(block, dtype=np.intp),
+                np.empty(block, dtype=table.dtype))
 
     # the generators and buffers are made on the calling thread: only it
     # runs functions that a caller may have wrapped, and the workers
@@ -254,7 +297,7 @@ def walk_sample_stats(
         for _ in others:  # a share's error is raised here
             pass
 
-    payouts = v0[states]
+    payouts = np.take(v0, states, axis=0)
     mean = payouts.mean(axis=0)
     if n_samples > 1:
         stderr = payouts.std(axis=0, ddof=1) / np.sqrt(n_samples)

@@ -271,15 +271,27 @@ class FixedStream:
         return out
 
 
-class TestWalkBisection:
-    """``walk_sample_stats`` finds each jump by bisection over a padded
-    row of thresholds; it must land every walk where counting them does."""
+def bucket_edges(n):
+    """The edges b / G of the walk's guide-table buckets for N = ``n``
+    (G = 16 times the power of two at or above ``n``) and their float64
+    neighbours, all below 1."""
+    size = 16 << (n - 1).bit_length()
+    edges = np.arange(size) / size
+    pool = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    return pool[(pool >= 0.0) & (pool < 1.0)]
 
-    @settings(derandomize=True, max_examples=120, deadline=None)
+
+class TestWalkBisection:
+    """``walk_sample_stats`` finds each jump through a guide table over
+    [0, 1), bisecting within a bucket that holds thresholds; it must land
+    every walk where counting the thresholds does.  (The name is from when
+    every jump was found by bisection over a padded row.)"""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
         n=st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
         steps=st.integers(0, 4),
-        scale=st.sampled_from([0.5, 3.0]),
+        scale=st.sampled_from([0.5, 3.0, 6.0, 20.0, 60.0]),
         short_rows=st.booleans(),
         tied_draws=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -288,7 +300,11 @@ class TestWalkBisection:
                                        seed):
         rng = np.random.default_rng(seed)
         keys = rng.normal(scale=scale, size=(n, 3))
+        # large keys crowd a row's thresholds into a few buckets, or
+        # underflow entries to 0, which the walk rejects
         a = transition_from_scores(keys, keys)
+        if not is_transition_matrix(a):
+            return
         if short_rows:
             # rows summing to about 1 - 1e-13: a draw above the sum counts
             # every threshold and is clipped to the last state
@@ -298,11 +314,11 @@ class TestWalkBisection:
         samples = 64
         for start in range(n):
             if tied_draws:
-                # draws equal to a threshold, one ulp either side of one, or
-                # above the rounded row sum
+                # draws equal to a threshold or a bucket edge, one ulp either
+                # side of one, or above the rounded row sum
                 cumulative = np.cumsum(a, axis=1).ravel()
                 pool = np.concatenate([cumulative, np.nextafter(cumulative, 0.0),
-                                       np.nextafter(cumulative, 2.0),
+                                       np.nextafter(cumulative, 2.0), bucket_edges(n),
                                        [0.0, np.nextafter(1.0, 0.0)]])
                 draws = rng.choice(pool[pool < 1.0], size=(samples, steps))
                 with mock.patch.object(random_walk, "substream", FixedDraws(draws)):
@@ -313,6 +329,20 @@ class TestWalkBisection:
             mean, stderr = compare_and_count_walk(v0, a, steps, start, draws)
             assert (stats.mean == mean).all()
             assert (stats.stderr == stderr).all()
+
+    def test_dyadic_thresholds_on_bucket_edges(self):
+        # every threshold is a multiple of 1/8, so it is a bucket edge, and
+        # each draw is an edge or one ulp from one
+        a = np.array([[0.25, 0.25, 0.5], [0.5, 0.25, 0.25], [0.125, 0.375, 0.5]])
+        v0 = np.hstack([np.eye(3), [[1.0], [-2.0], [0.5]]])
+        edges = bucket_edges(3)
+        draws = np.stack([edges, edges[::-1]], axis=1)
+        for start in range(3):
+            with mock.patch.object(random_walk, "substream", FixedDraws(draws)):
+                stats = walk_sample_stats(v0, a, 2, start, len(draws), seed=0)
+            mean, stderr = compare_and_count_walk(v0, a, 2, start, draws)
+            assert stats.mean.tobytes() == mean.tobytes()
+            assert stats.stderr.tobytes() == stderr.tobytes()
 
     def test_draw_above_row_sum_lands_on_last_state(self):
         a = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
@@ -336,6 +366,23 @@ class TestWalkBisection:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_table_build_holds_little_beside_the_table(self):
+        # at N = 1000 the guide table is 1000 rows of 16 385 two-byte
+        # entries (31.3 MiB) and the thresholds 7.6 MiB; the build works
+        # through it a few rows at a time, and 10 walks need small buffers
+        n = 1000
+        rng = np.random.default_rng(87)
+        a, _ = random_chain(rng, n)
+        v0 = rng.normal(size=(n, 1))
+        tracemalloc.start()
+        try:
+            walk_sample_stats(v0, a, 3, 0, 10, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = n * (16 * 1024 + 1) * 2
+        assert peak < table + a.nbytes + 2**20
 
 
 @pytest.fixture

@@ -12,14 +12,14 @@ run's input files (``INPUTS``).
 or at a usage error exits before it reads that flag.  The exit status,
 stdout, every file under ``--out`` and stderr (stdout and stderr with the
 output directory replaced by ``<out>``) are compared byte for byte, in
-that order, so a run reported with a stderr difference matched in
-everything else.
+that order.
 
     python tools/compare_outputs.py --parent ../neutreno-parent
 
-Prints the first difference of each run of the change (the pinned one
-marked "one CPU"), or that it is identical, and exits 1 if any run
-differed, 0 when every run matches.  It is not part of the
+Prints, for each run of the change (the pinned one marked "one CPU"),
+every difference in that order: the exit status, the set of files, and
+the first differing line of each differing stream and file; or that it
+is identical.  Exits 1 if any run differed, 0 when every run matches.  It is not part of the
 test suite: the bits depend on the BLAS build, so both trees must run on
 the same machine.
 """
@@ -101,8 +101,10 @@ COMMANDS = {
     "negative-lambda-wide-sweep": ["stack", "--variant", "neutreno", "--n", "256", "--layers", "2",
                                    "--n-seeds", "1", "--lambda-sweep", "0.2,-1,-2"],
     "randomwalk": ["randomwalk"],
-    # walks by bisection over 64-wide and padded rows
+    # a walk whose guide table has 64 rows of 1024 buckets
     "randomwalk-64": ["randomwalk", "--n", "64"],
+    # 4096 buckets a row, over several blocks and two shares
+    "randomwalk-200-two-blocks": ["randomwalk", "--n", "200", "--n-samples", "131073"],
     "randomwalk-asymmetric": ["randomwalk", "--n", "37", "--kernel", "asymmetric"],
     # walks in one share per allowed CPU, each of 65 536-walk blocks: two
     # shares at 2 CPUs, with block boundaries inside them, then one share
@@ -128,6 +130,10 @@ COMMANDS = {
     "config-bogus-variant": ["dynamics", "--config", "bogus.cfg"],
     "dynamics-tokens": ["dynamics", "--tokens", "tokens.ntt", "--steps", "20"],
     "randomwalk-keys": ["randomwalk", "--keys", "keys.ntt"],
+    # keys of magnitude about 6: each row's thresholds crowd into its first
+    # and last buckets, and the nearly decomposable chain fails its
+    # stationary and limit checks (exit 1) after the walk
+    "randomwalk-keys-crowded": ["randomwalk", "--keys", "keys.ntt"],
     "randomwalk-periodic": ["randomwalk", "--transition", "periodic.ntt"],
     # files with no rows or no columns (exit 2)
     "dynamics-tokens-empty": ["dynamics", "--tokens", "tokens.ntt"],
@@ -164,6 +170,8 @@ INPUTS = {
         [[(3 * i) % 7 - 3.0, 0.25 * ((5 * i) % 11)] for i in range(8)])},
     "randomwalk-keys": {"keys.ntt": tensor_bytes(
         [[0.3 * ((7 * i + 3 * j) % 5 - 2) for j in range(3)] for i in range(5)])},
+    "randomwalk-keys-crowded": {"keys.ntt": tensor_bytes(
+        [[(5 * i + 3 * j) % 13 - 6.0 for j in range(4)] for i in range(6)])},
     "randomwalk-periodic": {"periodic.ntt": tensor_bytes(
         [[1e-6, 1 - 1e-6], [1 - 2e-6, 2e-6]])},
     "dynamics-tokens-empty": {"tokens.ntt": tensor_bytes([], 3)},
@@ -218,24 +226,24 @@ def first_difference(label: str, a: bytes, b: bytes) -> str:
     return f"{label}: {len(a_lines)} lines in parent, {len(b_lines)} in change"
 
 
-def compare(expected, got) -> str | None:
-    """The first difference of the outputs ``got`` of a run of the change
-    from the parent's ``expected``, or ``None``."""
+def compare(expected, got) -> list[str]:
+    """Every difference of the outputs ``got`` of a run of the change from
+    the parent's ``expected``, in the order the module docstring gives."""
     status_a, stdout_a, stderr_a, files_a = expected
     status_b, stdout_b, stderr_b, files_b = got
+    differences = []
     if status_a != status_b:
-        return f"exit status {status_a} in parent, {status_b} in change"
+        differences.append(f"exit status {status_a} in parent, {status_b} in change")
     if stdout_a != stdout_b:
-        return first_difference("stdout", stdout_a, stdout_b)
+        differences.append(first_difference("stdout", stdout_a, stdout_b))
     if files_a.keys() != files_b.keys():
-        return (f"files only in parent: {sorted(files_a.keys() - files_b.keys())}, "
-                f"only in change: {sorted(files_b.keys() - files_a.keys())}")
-    for file in files_a:
-        if files_a[file] != files_b[file]:
-            return first_difference(file, files_a[file], files_b[file])
+        differences.append(f"files only in parent: {sorted(files_a.keys() - files_b.keys())}, "
+                           f"only in change: {sorted(files_b.keys() - files_a.keys())}")
+    differences += [first_difference(file, files_a[file], files_b[file])
+                    for file in files_a if file in files_b and files_a[file] != files_b[file]]
     if stderr_a != stderr_b:
-        return first_difference("stderr", stderr_a, stderr_b)
-    return None
+        differences.append(first_difference("stderr", stderr_a, stderr_b))
+    return differences
 
 
 def main(argv=None) -> int:
@@ -248,9 +256,10 @@ def main(argv=None) -> int:
     for name in [*COMMANDS, *DEMOS]:
         expected = outputs(parent, name)
         for label, one_cpu in ((name, False), (f"{name}, one CPU", True)):
-            difference = compare(expected, outputs(HERE, name, one_cpu))
-            print(f"{label}: {difference or 'identical'}")
-            differed |= difference is not None
+            differences = compare(expected, outputs(HERE, name, one_cpu))
+            for difference in differences or ["identical"]:
+                print(f"{label}: {difference}")
+            differed |= bool(differences)
     return int(differed)
 
 
