@@ -381,8 +381,8 @@ class TestWalkBisection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = n * (16 * 1024 + 1) * 2
-        assert peak < table + a.nbytes + 2**20
+        table, thresholds = n * (16 * 1024 + 1) * 2, a.nbytes
+        assert peak < table + thresholds + 2**20
 
 
 @pytest.fixture
