@@ -3,7 +3,8 @@
 The maths operates on plain float64 ``numpy`` arrays: matrices are 2-D
 row-major arrays, vectors are 1-D arrays.  Those functions are pure and
 never mutate their inputs, so values can be shared freely across threads.
-``_in_order`` is the one place that starts threads.
+``_in_order``, which runs the passes of a ``stack`` command, is the one
+place that starts threads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 # 512 KiB of float64, so a block stays in a 2 MiB L2 cache and the token
 # metrics need O(N^2) memory, not O(N^2 D).  ``neutreno.dynamics`` also
 # sizes its batches of trace records by it, and ``neutreno.random_walk``
-# its blocks of walks.
+# its blocks of walks, which run on the calling thread.
 _BLOCK_ENTRIES = 1 << 16
 
 __all__ = [

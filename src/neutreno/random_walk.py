@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import attention_matrix, exp_score_kernel
-from .linalg import _BLOCK_ENTRIES, _allowed_cpus, _in_order, substream
+from .linalg import _BLOCK_ENTRIES, substream
 
 __all__ = [
     "ConvergenceError",
@@ -167,16 +167,10 @@ def walk_sample_stats(
     Each walk moves over token indices with row ``i`` of the transition
     matrix as its jump distribution and pays out ``v0[final index]``.
     The randomness is one (n_samples, steps) uniform block from
-    ``substream(seed, start, steps)``; walk ``w`` consumes row ``w``, so
-    the result is reproducible and independent of how the walks are
-    scheduled.  The block is drawn in pieces: each allowed CPU takes one
-    contiguous share of the walks (no more shares than there are full
-    blocks of ``_BLOCK_ENTRIES`` walks), and each share walks
-    ``_BLOCK_ENTRIES`` of them at a time.  ``Generator.random`` spends one
-    64-bit output per double, so a share starting at walk ``lo`` draws its
-    rows from a generator advanced by ``lo * steps`` outputs, and a
-    share's blocks continue its stream.  Besides the ``n_samples`` final
-    states, a share holds O(``_BLOCK_ENTRIES * steps``) memory.
+    ``substream(seed, start, steps)``: walk ``w`` consumes row ``w`` of
+    it, drawn a block of ``_BLOCK_ENTRIES`` walks at a time, so the
+    result is reproducible and, besides the ``n_samples`` final states,
+    the walk holds O(``_BLOCK_ENTRIES * steps``) memory.
 
     A jump from state ``s`` with draw ``u`` goes to the number of
     thresholds ``cumsum(A[s])`` below ``u``, clipped to the last state.
@@ -195,6 +189,10 @@ def walk_sample_stats(
     """
     a = _check_transition(transition)
     v0 = np.asarray(v0, dtype=np.float64)
+    if v0.ndim != 2 or v0.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"transition shape {a.shape} does not match payout shape {v0.shape}"
+        )
     if not 0 <= start < a.shape[0]:
         raise ValueError(f"start index {start} out of range for {a.shape[0]} states")
     if n_samples < 1:
@@ -240,62 +238,46 @@ def walk_sample_stats(
     thresholds = thresholds.ravel()
     states = np.empty(n_samples, dtype=np.intp)
 
-    def walk(rng, lo, hi, draws, index, entry):
-        for first in range(lo, hi, _BLOCK_ENTRIES):
-            m = min(hi - first, _BLOCK_ENTRIES)
-            rows = rng.random(out=draws[:m])
-            at, guide = index[:m], entry[:m]
-            bucket = states[first:first + m]  # free until the block ends
-            at.fill(start)
-            for t in range(steps):
-                # inverse-CDF jump: the entry of the draw's bucket in the
-                # current row; the cast floors the exact product
-                u = rows[:, t]
-                np.multiply(u, size, out=bucket, casting="unsafe")
-                at *= stride
-                at += bucket
-                # every index is in range, so "wrap" moves none; it spares
-                # the copy of out that take makes under "raise"
-                np.take(table, at, out=guide, mode="wrap")
-                # a flagged walk adds the thresholds in its bucket below its
-                # draw, by bisection; past the bucket they are above the
-                # draw, and a probe past the row reads its last one, which
-                # only the final clip can tell apart
-                flagged = np.flatnonzero(guide < 0)
-                base = at[flagged] // stride * n
-                jump = -1 - guide[flagged].astype(np.intp)
-                draw = u[flagged]
-                half = reach // 2
-                while half:
-                    probe = np.minimum(jump + (half - 1), n - 1)
-                    probe += base
-                    jump += (thresholds[probe] < draw) * half
-                    half //= 2
-                np.copyto(at, guide)
-                at[flagged] = np.minimum(jump, n - 1)
-            states[first:first + m] = at
-
-    def share(lo, hi):
-        """The arguments of ``walk`` for walks ``lo`` to ``hi``."""
-        rng = substream(seed, start, steps)
-        rng.bit_generator.advance(lo * steps)
-        block = min(hi - lo, _BLOCK_ENTRIES)
-        return (rng, lo, hi, np.empty((block, steps)), np.empty(block, dtype=np.intp),
-                np.empty(block, dtype=table.dtype))
-
-    # the generators and buffers are made on the calling thread: only it
-    # runs functions that a caller may have wrapped, and the workers
-    # allocate nothing large; the calling thread walks the first share
-    # while the pool walks the others, and the buffers are freed before
-    # the payouts
-    count = max(1, min(_allowed_cpus(), n_samples // _BLOCK_ENTRIES))
-    bounds = [n_samples * k // count for k in range(count + 1)]
-    shares = [share(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _in_order(lambda args: walk(*args), shares[1:], count - 1) as others:
-        walk(*shares[0])
-        del shares
-        for _ in others:  # a share's error is raised here
-            pass
+    rng = substream(seed, start, steps)
+    block = min(n_samples, _BLOCK_ENTRIES)
+    draws = np.empty((block, steps))
+    index = np.empty(block, dtype=np.intp)
+    entry = np.empty(block, dtype=table.dtype)
+    for first in range(0, n_samples, _BLOCK_ENTRIES):
+        m = min(n_samples - first, _BLOCK_ENTRIES)
+        rows = rng.random(out=draws[:m])
+        at, guide = index[:m], entry[:m]
+        bucket = states[first:first + m]  # free until the block ends
+        at.fill(start)
+        for t in range(steps):
+            # inverse-CDF jump: the entry of the draw's bucket in the
+            # current row; the cast floors the exact product
+            u = rows[:, t]
+            np.multiply(u, size, out=bucket, casting="unsafe")
+            at *= stride
+            at += bucket
+            # every index is in range, so "wrap" moves none; it spares
+            # the copy of out that take makes under "raise"
+            np.take(table, at, out=guide, mode="wrap")
+            # a flagged walk adds the thresholds in its bucket below its
+            # draw, by bisection; past the bucket they are above the
+            # draw, and a probe past the row reads its last one, which
+            # only the final clip can tell apart
+            flagged = np.flatnonzero(guide < 0)
+            base = at[flagged] // stride * n
+            jump = -1 - guide[flagged].astype(np.intp)
+            draw = u[flagged]
+            half = reach // 2
+            while half:
+                probe = np.minimum(jump + (half - 1), n - 1)
+                probe += base
+                jump += (thresholds[probe] < draw) * half
+                half //= 2
+            np.copyto(at, guide)
+            at[flagged] = np.minimum(jump, n - 1)
+        states[first:first + m] = at
+    # free the buffers, and the views into them, before the payouts
+    del draws, rows, u, index, at, entry, guide
 
     payouts = np.take(v0, states, axis=0)
     mean = payouts.mean(axis=0)

@@ -784,10 +784,15 @@ def test_cli_import_does_not_load_scipy():
 
 def test_cli_import_does_not_load_the_thread_pool():
     # concurrent.futures is imported only when linalg._in_order starts a
-    # pool: a stack command or a walk with two or more allowed CPUs
+    # pool, which only a stack command does: a walk of several blocks,
+    # with two allowed CPUs, runs on the calling thread
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, neutreno.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import os, sys, numpy as np, neutreno.cli\n"
+             "from neutreno.random_walk import walk_sample_stats\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "walk_sample_stats(np.eye(2), np.full((2, 2), 0.5), 3, 0, 200_000, 0)\n"
+             "print('concurrent.futures' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"

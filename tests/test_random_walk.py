@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -218,6 +217,11 @@ class TestSampleRandomWalk:
         a, _ = random_chain(rng, 3)
         with pytest.raises(ValueError):
             walk_sample_stats(np.zeros((3, 1)), a, 1, start=3, n_samples=1, seed=0)
+        # payouts that are not 2-D with one row per state
+        for v0 in (np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(3), np.zeros((3, 1, 1))):
+            for steps in (0, 1):
+                with pytest.raises(ValueError, match="does not match payout shape"):
+                    walk_sample_stats(v0, a, steps, start=0, n_samples=2, seed=0)
 
 
 def compare_and_count_walk(v0, a, steps, start, uniforms):
@@ -253,15 +257,11 @@ class FixedDraws:
 
 class FixedStream:
     """Hands out consecutive draws of a block, as ``Generator.random``
-    does one PCG64 output per double; ``advance`` skips draws."""
+    does."""
 
     def __init__(self, draws):
         self.flat = draws.ravel()
         self.used = 0
-        self.bit_generator = self
-
-    def advance(self, delta):
-        self.used += delta
 
     def random(self, size=None, out=None):
         out = np.empty(size) if out is None else out
@@ -385,32 +385,21 @@ class TestWalkBisection:
         assert peak < table + thresholds + 2**20
 
 
-@pytest.fixture
-def fast_switching():
-    """Threads hand over the interpreter lock every microsecond."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def on_cpus(cpus):
     """Patch the affinity call to allow ``cpus`` CPUs."""
     return mock.patch("os.sched_getaffinity", return_value=set(range(cpus)))
 
 
 class TestSplitWalk:
-    """``walk_sample_stats`` splits the walks into one share per allowed
-    CPU and each share into blocks of ``_BLOCK_ENTRIES`` walks; walk ``w``
-    must still consume row ``w`` of the one uniform block."""
+    """``walk_sample_stats`` walks blocks of ``_BLOCK_ENTRIES`` walks on the
+    calling thread from one stream; walk ``w`` must still consume row ``w``
+    of the one uniform block, at any count of allowed CPUs."""
 
     @pytest.mark.parametrize("steps", range(5))
     @pytest.mark.parametrize("n_samples", [1, _BLOCK_ENTRIES - 1, _BLOCK_ENTRIES,
                                            _BLOCK_ENTRIES + 1, 2 * _BLOCK_ENTRIES + 1,
                                            200_000])
-    def test_same_bytes_at_any_cpu_count(self, n_samples, steps, fast_switching):
+    def test_same_bytes_at_any_cpu_count(self, n_samples, steps):
         rng = np.random.default_rng([n_samples, steps])
         for n, scale in [(1, 0.5), (5, 3.0), (64, 0.5), (70, 3.0)]:
             keys = rng.normal(scale=scale, size=(n, 3))
@@ -420,76 +409,13 @@ class TestSplitWalk:
             draws = substream(seed, start, steps).random((n_samples, steps))
             expected = compare_and_count_walk(v0, a, steps, start, draws)
             for cpus in (1, 2, 3):
-                threads = threading.active_count()
-                with on_cpus(cpus), mock.patch.object(random_walk, "substream",
-                                                      wraps=substream) as streams:
+                with (on_cpus(cpus),
+                      mock.patch.object(random_walk, "substream", wraps=substream) as streams,
+                      mock.patch.object(threading.Thread, "start", autospec=True,
+                                        side_effect=threading.Thread.start) as starts):
                     stats = walk_sample_stats(v0, a, steps, start, n_samples, seed)
-                assert threading.active_count() == threads
                 assert stats.mean.tobytes() == expected[0].tobytes()
                 assert stats.stderr.tobytes() == expected[1].tobytes()
-                # one stream per share, and no share without a full block
-                shares = min(cpus, max(1, n_samples // _BLOCK_ENTRIES))
-                assert streams.call_count == (shares if steps else 0)
-
-    @pytest.mark.parametrize("steps", [1, 3, 4])
-    def test_advanced_generator_reproduces_the_tail(self, steps):
-        # numpy's Generator.random spends one 64-bit PCG64 output per
-        # double, so skipping lo * steps outputs lands on row lo
-        block = substream(7, 2, steps).random((1000, steps))
-        for lo in (0, 1, 333, 999):
-            rng = substream(7, 2, steps)
-            rng.bit_generator.advance(lo * steps)
-            pieces = [rng.random((min(100, 1000 - first), steps))
-                      for first in range(lo, 1000, 100)]
-            assert np.concatenate(pieces).tobytes() == block[lo:].tobytes()
-
-    @pytest.mark.parametrize("failing", ["caller", "worker", "both"])
-    def test_failing_share_raises_on_the_caller(self, failing):
-        rng = np.random.default_rng(85)
-        a, _ = random_chain(rng, 6)
-        v0 = rng.normal(size=(6, 1))
-        draws = rng.random((2 * _BLOCK_ENTRIES, 3))
-        caller = threading.current_thread()
-
-        class FailingStream(FixedStream):
-            def random(self, size=None, out=None):
-                side = "caller" if threading.current_thread() is caller else "worker"
-                if failing in (side, "both"):
-                    raise RuntimeError(f"share on the {side} failed")
-                return super().random(size, out)
-
-        # the first failure in share order is raised: the caller's share
-        raised = "caller" if failing == "both" else failing
-        threads = threading.active_count()
-        with on_cpus(2), mock.patch.object(random_walk, "substream",
-                                           lambda *key: FailingStream(draws)):
-            with pytest.raises(RuntimeError, match=f"share on the {raised} failed"):
-                walk_sample_stats(v0, a, 3, 0, len(draws), seed=0)
-        assert threading.active_count() == threads
-
-    def test_worker_share_runs_while_the_caller_walks(self):
-        # each share is one block; each side marks its start, then waits
-        # for the other's, so a worker started after the caller's share
-        # times out the caller's wait
-        rng = np.random.default_rng(86)
-        a, _ = random_chain(rng, 6)
-        v0 = rng.normal(size=(6, 1))
-        draws = rng.random((2 * _BLOCK_ENTRIES, 3))
-        caller = threading.current_thread()
-        started = {True: threading.Event(), False: threading.Event()}
-        met = {}
-
-        class MeetingStream(FixedStream):
-            def random(self, size=None, out=None):
-                on_caller = threading.current_thread() is caller
-                started[on_caller].set()
-                met[on_caller] = started[not on_caller].wait(timeout=10)
-                return super().random(size, out)
-
-        with on_cpus(2), mock.patch.object(random_walk, "substream",
-                                           lambda *key: MeetingStream(draws)):
-            stats = walk_sample_stats(v0, a, 3, 0, len(draws), seed=0)
-        assert met == {True: True, False: True}
-        mean, stderr = compare_and_count_walk(v0, a, 3, 0, draws)
-        assert stats.mean.tobytes() == mean.tobytes()
-        assert stats.stderr.tobytes() == stderr.tobytes()
+                # one stream per call, and no thread started
+                assert streams.call_count == (1 if steps else 0)
+                assert starts.call_count == 0

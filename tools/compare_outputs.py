@@ -3,11 +3,11 @@
 Runs a fixed list of ``neutreno`` commands and the four demo scripts
 once from ``--parent`` (another checkout, for example of the parent
 commit) and twice from the checkout that holds this script: on every CPU
-this tool may use, then pinned to one of them, so that the one-CPU paths
-(the stack passes and every walk share on the calling thread) are
-compared too.  Each run is a subprocess with ``PYTHONPATH=<tree>/src``
-and one BLAS thread, in a fresh work directory that first receives the
-run's input files (``INPUTS``).
+this tool may use, then pinned to one of them, so that the one-CPU path
+(the stack passes on the calling thread) is compared too.  Each run is a
+subprocess with ``PYTHONPATH=<tree>/src`` and one BLAS thread, in a
+fresh work directory that first receives the run's input files
+(``INPUTS``).
 ``--out`` is appended to every command; a parser that stops at ``--help``
 or at a usage error exits before it reads that flag.  The exit status,
 stdout, every file under ``--out`` and stderr (stdout and stderr with the
@@ -103,12 +103,10 @@ COMMANDS = {
     "randomwalk": ["randomwalk"],
     # a walk whose guide table has 64 rows of 1024 buckets
     "randomwalk-64": ["randomwalk", "--n", "64"],
-    # 4096 buckets a row, over several blocks and two shares
+    # 4096 buckets a row, over several blocks
     "randomwalk-200-two-blocks": ["randomwalk", "--n", "200", "--n-samples", "131073"],
     "randomwalk-asymmetric": ["randomwalk", "--n", "37", "--kernel", "asymmetric"],
-    # walks in one share per allowed CPU, each of 65 536-walk blocks: two
-    # shares at 2 CPUs, with block boundaries inside them, then one share
-    # of two blocks
+    # two blocks of 65 536 walks and one walk past them
     "randomwalk-two-blocks": ["randomwalk", "--n-samples", "131073"],
     "randomwalk-64-long": ["randomwalk", "--n", "64", "--walk-steps", "4",
                            "--n-samples", "333333"],
